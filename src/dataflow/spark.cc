@@ -1,6 +1,7 @@
 #include "src/dataflow/spark.h"
 
 #include "src/analysis/ser_analyzer.h"
+#include "src/dataflow/native_fold.h"
 #include "src/ir/builder.h"
 #include "src/runtime/roots.h"
 #include "src/shuffle/shuffle_service.h"
@@ -429,7 +430,7 @@ void SparkEngine::ShuffleBaseline(const DatasetPtr& input, const CompiledStage& 
 
 void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& stage,
                                  const KeySpec& key, const CompiledFn& key_fn,
-                                 const BroadcastVar* broadcast,
+                                 const BroadcastVar* broadcast, const CompiledFn* combine_fn,
                                  std::vector<std::vector<NativePartition>>* buckets) {
   int parts = config_.execution.num_partitions;
   // Per-map-task, per-bucket outputs — the analogue of map output files, so
@@ -520,6 +521,9 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
           exec.RunDirectSlowPath(io, ctx.stats().times);
           ctx.stats().slow_path_direct += 1;
         }
+        if (combine_fn != nullptr && speculate) {
+          CombineMapOutput(ctx, key, key_fn, *combine_fn, stage.out_klass, &task_buckets);
+        }
         for (NativePartition& bucket : task_buckets) {
           bucket.Seal();
         }
@@ -531,6 +535,50 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
       &stats_, &codec);
   if (speculate) {
     ObserveSpeculation(stage.signature.hash, parts, stats_.aborts - aborts_before);
+  }
+}
+
+// Map-side combine: folds each committed bucket by key with the compiled
+// reduce function, in emit order, leaving one record per key in first-seen
+// key order. A bucket is replaced only once its fold finished, so an abort
+// leaves it — and, to keep the rule simple, every later bucket — exactly as
+// the map task committed it; the reduce stage folds whatever arrives.
+void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
+                                   const CompiledFn& key_fn, const CompiledFn& reduce_fn,
+                                   const Klass* rec_klass,
+                                   std::vector<NativePartition>* buckets) {
+  TraceSink* sink = ctx.trace_sink();
+  TraceSpan span(sink, TraceEventType::kFastPath, "combine");
+  ComputePhaseScope compute(ctx.stats().times);
+  BuilderStore builders(layouts_);
+  std::unique_ptr<SerRunner> runner =
+      MakeFastRunner(reduce_fn.plan.get(), *reduce_fn.transformed, ctx.heap(), ctx.wk(),
+                     &layouts_, &builders, {key_fn.plan.get()});
+  for (NativePartition& bucket : *buckets) {
+    KeyedNativeFold fold(*runner, builders, key_fn.fast_fn, key.is_string, reduce_fn.fast_fn,
+                         rec_klass, &memory_);
+    try {
+      for (size_t r = 0; r < bucket.record_count(); ++r) {
+        fold.Add(bucket.record_addr(r), bucket.record_size(r));
+      }
+    } catch (const SerAbort& abort) {
+      // Not an EngineStats abort: the map output already committed, and the
+      // speculation governor must not see a failed optimization as one.
+      if (sink != nullptr) {
+        sink->Instant(TraceEventType::kCombineAbort, "combine_abort",
+                      static_cast<int64_t>(abort.reason));
+      }
+      return;
+    }
+    ctx.stats().key_allocs_saved += fold.key_allocs_saved();
+    if (fold.folds() == 0) {
+      continue;  // every key distinct: the bucket is already its own combine
+    }
+    NativePartition combined(&memory_);
+    fold.EmitTo(combined);
+    ctx.stats().combine_calls += fold.folds();
+    ctx.stats().shuffle_bytes += combined.bytes_used() - bucket.bytes_used();
+    bucket = std::move(combined);
   }
 }
 
@@ -599,9 +647,10 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
     return out;
   }
 
-  // Gerenuk mode.
+  // Gerenuk mode: map tasks pre-fold their output by key (baseline mode,
+  // the oracle, ships every record).
   std::vector<std::vector<NativePartition>> buckets;
-  ShuffleGerenuk(input, stage, key, key_c, broadcast, &buckets);
+  ShuffleGerenuk(input, stage, key, key_c, broadcast, &reduce_c, &buckets);
 
   // Hand the map outputs to the shuffle service at the barrier, in
   // task-major order (the determinism contract for spill decisions).
@@ -628,9 +677,6 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         ctx.stats().tasks_run += 1;
         ctx.heap().set_phase_times(&ctx.stats().times);
         NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        auto for_each_record = [&shuffle, &ctx, p](const std::function<void(int64_t, uint32_t)>& fn) {
-          shuffle.ForEachRecordInBucket(p, &ctx.stats(), ctx.trace_sink(), fn);
-        };
         TraceSink* sink = ctx.trace_sink();
         bool fast_ok = speculate;
         const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
@@ -639,54 +685,15 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
           std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
               reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
               &builders, {key_c.plan.get()});
-          SerRunner& reduce_interp = *reduce_runner;
           ComputePhaseScope compute(ctx.stats().times);
-          struct Entry {
-            int64_t addr;
-            int64_t size;
-          };
-          std::unordered_map<ShuffleKeyValue, Entry, ShuffleKeyHash> agg;
-          // Reduction results are rendered into a scratch region, compacted
-          // when garbage (superseded intermediates) dominates — region-based
-          // management in miniature.
-          NativePartition scratch(&memory_);
-          int64_t live_bytes = 0;
-          ShuffleKeyValue scratch_key;
-          for_each_record([&](int64_t addr, uint32_t size) {
-            if (EvalShuffleKeyInto(reduce_interp, key_c.fast_fn, Value::Addr(addr),
-                                   key.is_string, &scratch_key)) {
-              ctx.stats().key_allocs_saved += 1;
-            }
-            auto it = agg.find(scratch_key);
-            if (it == agg.end()) {
-              agg.emplace(scratch_key, Entry{addr, static_cast<int64_t>(size)});
-              live_bytes += size;
-            } else {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.fast_fn, {Value::Addr(it->second.addr), Value::Addr(addr)});
-              ByteBuffer body;
-              builders.RenderBody(merged.i, rec_klass, body);
-              builders.Clear();
-              live_bytes -= it->second.size;
-              it->second.addr =
-                  scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-              it->second.size = static_cast<int64_t>(body.size());
-              live_bytes += it->second.size;
-              if (scratch.bytes_used() > (8 << 20) && scratch.bytes_used() > 2 * live_bytes) {
-                NativePartition compacted(&memory_);
-                for (auto& [kk, entry] : agg) {
-                  entry.addr =
-                      compacted.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
-                                             static_cast<uint32_t>(entry.size));
-                }
-                scratch = std::move(compacted);
-              }
-            }
-          });
-          for (const auto& [kk, entry] : agg) {
-            out_part.AppendRecord(reinterpret_cast<const uint8_t*>(entry.addr),
-                                  static_cast<uint32_t>(entry.size));
-          }
+          KeyedNativeFold fold(*reduce_runner, builders, key_c.fast_fn, key.is_string,
+                               reduce_c.fast_fn, rec_klass, &memory_);
+          // Unfolded keys still point into the bucket's fetched blocks, so
+          // the bucket stays open until they are emitted.
+          const BucketReader bucket = shuffle.OpenBucket(p, &ctx.stats(), sink);
+          bucket.ForEachRecord([&fold](int64_t addr, uint32_t size) { fold.Add(addr, size); });
+          fold.EmitTo(out_part);
+          ctx.stats().key_allocs_saved += fold.key_allocs_saved();
           ctx.stats().fast_path_commits += 1;
           if (sink != nullptr) {
             sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
@@ -719,7 +726,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
           std::unordered_map<ShuffleKeyValue, size_t, ShuffleKeyHash> agg;
           std::vector<ObjRef> values;
           ctx.heap().AddRootVector(&values);
-          for_each_record([&](int64_t addr, uint32_t size) {
+          shuffle.ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
             ObjRef rec;
             {
               ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
@@ -849,8 +856,8 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
   // Gerenuk mode.
   std::vector<std::vector<NativePartition>> lb;
   std::vector<std::vector<NativePartition>> rb;
-  ShuffleGerenuk(left, left_stage, left_key, lkey, nullptr, &lb);
-  ShuffleGerenuk(right, right_stage, right_key, rkey, nullptr, &rb);
+  ShuffleGerenuk(left, left_stage, left_key, lkey, nullptr, nullptr, &lb);
+  ShuffleGerenuk(right, right_stage, right_key, rkey, nullptr, nullptr, &rb);
 
   // Both sides go through the shuffle service. The build (left) side is
   // held open for the whole probe — its record addresses back the hash

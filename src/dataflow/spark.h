@@ -93,6 +93,12 @@ class SparkEngine {
 
   const EngineStats& stats() const { return stats_; }
   int64_t peak_memory_bytes() const { return memory_.peak_bytes(); }
+  // Engine-wide heap + native footprint. Exact at stage barriers (see
+  // NativePartition); between them it reads low by under one chunk per
+  // growing partition.
+  const MemoryTracker& memory() const { return memory_; }
+  // Used bytes of the engine heap plus every worker heap. Between stages only.
+  int64_t heap_used_bytes() const { return heap_->used_bytes() + scheduler_->heap_used_bytes(); }
   void ResetMetrics();
 
   // The engine's event timeline (null when config.trace is off). Complete —
@@ -168,9 +174,15 @@ class SparkEngine {
                        const CompiledFn& key_fn, const BroadcastVar* broadcast,
                        std::vector<std::vector<ByteBuffer>>* buckets,
                        std::vector<std::vector<int64_t>>* bucket_counts);
+  // With a `combine_fn` (ReduceByKey's reduce function), each speculating
+  // map task pre-folds its buckets by key before they leave the task.
   void ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& stage, const KeySpec& key,
                       const CompiledFn& key_fn, const BroadcastVar* broadcast,
+                      const CompiledFn* combine_fn,
                       std::vector<std::vector<NativePartition>>* buckets);
+  void CombineMapOutput(WorkerContext& ctx, const KeySpec& key, const CompiledFn& key_fn,
+                        const CompiledFn& reduce_fn, const Klass* rec_klass,
+                        std::vector<NativePartition>* buckets);
 
   // Reserves `n` driver-assigned task ordinals (for the fault plan) and
   // returns the first. Every stage claims its ordinals before submission, in

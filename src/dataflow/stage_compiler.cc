@@ -39,7 +39,7 @@ ProgramSignature ComputeProgramSignature(EngineMode mode, const DataStructAnalyz
 
   ProgramSignature sig;
   sig.text = text.str();
-  sig.hash = Fnv1aDigest(sig.text.data(), sig.text.size());
+  sig.hash = SealDigest(sig.text.data(), sig.text.size());
   return sig;
 }
 

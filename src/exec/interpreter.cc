@@ -43,10 +43,10 @@ Interpreter::Frame* Interpreter::AcquireFrame(const Function* func) {
 
 void Interpreter::ReleaseFrame() { active_frames_ -= 1; }
 
-Value Interpreter::CallFunction(const Function* func, const std::vector<Value>& args) {
-  GERENUK_CHECK_EQ(static_cast<int>(args.size()), func->num_params);
+Value Interpreter::CallFunction(const Function* func, const Value* args, size_t nargs) {
+  GERENUK_CHECK_EQ(static_cast<int>(nargs), func->num_params);
   Frame* frame = AcquireFrame(func);
-  for (size_t i = 0; i < args.size(); ++i) {
+  for (size_t i = 0; i < nargs; ++i) {
     frame->slots[i] = args[i];
   }
   Value result;

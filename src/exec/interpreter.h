@@ -71,9 +71,14 @@ class SerRunner {
 
   virtual void set_channel(RecordChannel* channel) = 0;
 
-  // Calls `func` with `args`; returns its return value (None for void).
-  // Throws SerAbort when an abort instruction executes.
-  virtual Value CallFunction(const Function* func, const std::vector<Value>& args) = 0;
+  // Calls `func` with the `nargs` arguments at `args`; returns its return
+  // value (None for void). Throws SerAbort when an abort instruction
+  // executes. Per-record callers pass a stack array, so a call allocates
+  // nothing.
+  virtual Value CallFunction(const Function* func, const Value* args, size_t nargs) = 0;
+  Value CallFunction(const Function* func, const std::vector<Value>& args) {
+    return CallFunction(func, args.data(), args.size());
+  }
 
   // Reads the text of a string value — a heap String (kRef), a committed
   // native [len][bytes] record (kAddr), or an under-construction string
@@ -104,7 +109,8 @@ class Interpreter : public RootProvider, public SerRunner {
 
   void set_channel(RecordChannel* channel) override { channel_ = channel; }
 
-  Value CallFunction(const Function* func, const std::vector<Value>& args) override;
+  using SerRunner::CallFunction;
+  Value CallFunction(const Function* func, const Value* args, size_t nargs) override;
 
   // Statements executed since construction (used by ablation benches).
   int64_t statements_executed() const override { return statements_executed_; }

@@ -225,7 +225,7 @@ PlanExecutor::Frame* PlanExecutor::AcquireFrame(const PlanFunction* func) {
 
 void PlanExecutor::ReleaseFrame() { active_frames_ -= 1; }
 
-Value PlanExecutor::CallFunction(const Function* func, const std::vector<Value>& args) {
+Value PlanExecutor::CallFunction(const Function* func, const Value* args, size_t nargs) {
   const PlanFunction* pf;
   if (func == last_fn_) {
     pf = last_pf_;
@@ -237,8 +237,8 @@ Value PlanExecutor::CallFunction(const Function* func, const std::vector<Value>&
     last_fn_ = func;
     last_pf_ = pf;
   }
-  GERENUK_CHECK_EQ(static_cast<int>(args.size()), pf->num_params);
-  return Invoke(*pf, args.data(), args.size());
+  GERENUK_CHECK_EQ(static_cast<int>(nargs), pf->num_params);
+  return Invoke(*pf, args, nargs);
 }
 
 Value PlanExecutor::Invoke(const PlanFunction& func, const Value* args, size_t nargs) {

@@ -307,7 +307,8 @@ class PlanExecutor : public RootProvider, public SerRunner {
 
   void set_channel(RecordChannel* channel) override;
 
-  Value CallFunction(const Function* func, const std::vector<Value>& args) override;
+  using SerRunner::CallFunction;
+  Value CallFunction(const Function* func, const Value* args, size_t nargs) override;
 
   int64_t ReadStringBytes(Value v, std::string* out) override;
 

@@ -35,7 +35,7 @@ struct SerProgram;
 struct Function;
 
 // Canonical identity of a compiled SER: `text` is the exact-match key,
-// `hash` its FNV-1a digest (used for fast rejects and as the per-SER key of
+// `hash` its SealDigest (used for fast rejects and as the per-SER key of
 // abort-rate histories — see SpeculationOracle in spark.h).
 struct ProgramSignature {
   uint64_t hash = 0;

@@ -205,6 +205,14 @@ class TaskScheduler {
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
   int num_workers() const { return static_cast<int>(contexts_.size()); }
+  // Used bytes summed over the worker heaps. Read between stages only.
+  int64_t heap_used_bytes() const {
+    int64_t used = 0;
+    for (const auto& ctx : contexts_) {
+      used += ctx->heap().used_bytes();
+    }
+    return used;
+  }
 
   // Policy applied by every subsequent RunStage. The default (1 attempt,
   // fail-fast) reproduces the seed's behavior exactly.

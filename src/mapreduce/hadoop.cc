@@ -4,6 +4,8 @@
 #include <numeric>
 #include <string>
 
+#include "src/dataflow/native_fold.h"
+
 namespace gerenuk {
 
 namespace {
@@ -423,7 +425,8 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                 combiner_fn != nullptr ? combine_c.plan.get() : key_c.plan.get(),
                 combiner_fn != nullptr ? *combine_c.transformed : *key_c.transformed,
                 ctx.heap(), ctx.wk(), &layouts_, &builders);
-            SerRunner& combine_interp = *combine_runner;
+            NativeFolder folder(*combine_runner, builders, combine_c.fast_fn, out_klass,
+                                region.get());
             size_t i = 0;
             while (i < entries.size()) {
               size_t j = i + 1;
@@ -436,22 +439,15 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
               bool combined = false;
               if (combiner_fn != nullptr && !skip_combiner && j - i > 1) {
                 try {
-                  int64_t acc = entries[i].addr;
+                  // Intermediates land in the map output region, which dies
+                  // wholesale after the spill.
+                  FoldAcc acc{entries[i].addr, entries[i].size, false};
                   for (size_t r = i + 1; r < j; ++r) {
                     ctx.stats().combine_calls += 1;
-                    Value merged = combine_interp.CallFunction(
-                        combine_c.fast_fn, {Value::Addr(acc), Value::Addr(entries[r].addr)});
-                    // Render the intermediate so the next fold reads committed
-                    // bytes (the builder is reset per fold).
-                    ByteBuffer body;
-                    builders.RenderBody(merged.i, out_klass, body);
-                    builders.Clear();
-                    acc = region->AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
+                    folder.Fold(&acc, entries[r].addr);
                   }
                   segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
-                  out.AppendRecord(reinterpret_cast<const uint8_t*>(acc),
-                                   static_cast<uint32_t>(
-                                       MeasureCommittedBody(layouts_, out_klass, acc)));
+                  out.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
                   combined = true;
                 } catch (const SerAbort& abort) {
                   if (ctx.trace_sink() != nullptr) {
@@ -712,9 +708,9 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
         std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
             reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
             &builders);
-        SerRunner& reduce_interp = *reduce_runner;
-        Interpreter slow_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
         NativePartition scratch(&memory_);
+        NativeFolder folder(*reduce_runner, builders, reduce_c.fast_fn, out_klass, &scratch);
+        Interpreter slow_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
         ComputePhaseScope compute(ctx.stats().times);
         size_t i = 0;
         while (i < refs.size()) {
@@ -730,18 +726,11 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           };
           bool fast_ok = reduce_speculate;
           if (reduce_speculate) try {
-            int64_t acc = addr_of(refs[i]);
-            uint32_t acc_size = size_of(refs[i]);
+            FoldAcc acc{addr_of(refs[i]), size_of(refs[i]), false};
             for (size_t v = i + 1; v < j; ++v) {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.fast_fn, {Value::Addr(acc), Value::Addr(addr_of(refs[v]))});
-              ByteBuffer body;
-              builders.RenderBody(merged.i, out_klass, body);
-              builders.Clear();
-              acc = scratch.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
-              acc_size = static_cast<uint32_t>(body.size());
+              folder.Fold(&acc, addr_of(refs[v]));
             }
-            out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc), acc_size);
+            out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
           } catch (const SerAbort& abort) {
             // Re-execute this group on the slow path, inside the same worker.
             if (ctx.trace_sink() != nullptr) {

@@ -19,7 +19,9 @@ NativePartition& NativePartition::operator=(NativePartition&& other) noexcept {
     chunks_ = std::move(other.chunks_);
     chunk_used_ = other.chunk_used_;
     chunk_capacity_ = other.chunk_capacity_;
+    other.FlushTracker();
     bytes_used_ = other.bytes_used_;
+    tracked_bytes_ = other.tracked_bytes_;
     records_ = std::move(other.records_);
     sealed_ = other.sealed_;
     checksum_ = other.checksum_;
@@ -27,6 +29,7 @@ NativePartition& NativePartition::operator=(NativePartition&& other) noexcept {
     other.chunk_used_ = 0;
     other.chunk_capacity_ = 0;
     other.bytes_used_ = 0;
+    other.tracked_bytes_ = 0;
     other.records_.clear();
     other.sealed_ = false;
     other.checksum_ = 0;
@@ -35,30 +38,41 @@ NativePartition& NativePartition::operator=(NativePartition&& other) noexcept {
 }
 
 void NativePartition::Release() {
-  if (tracker_ != nullptr && bytes_used_ > 0) {
-    tracker_->Freed(bytes_used_);
+  if (tracker_ != nullptr && tracked_bytes_ > 0) {
+    tracker_->Freed(tracked_bytes_);
   }
   chunks_.clear();
   chunk_used_ = 0;
   chunk_capacity_ = 0;
   bytes_used_ = 0;
+  tracked_bytes_ = 0;
   records_.clear();
   sealed_ = false;
   checksum_ = 0;
 }
 
+void NativePartition::FlushTracker() {
+  if (tracker_ != nullptr && bytes_used_ > tracked_bytes_) {
+    tracker_->Allocated(bytes_used_ - tracked_bytes_);
+    tracked_bytes_ = bytes_used_;
+  }
+}
+
 uint8_t* NativePartition::Allocate(size_t n) {
-  if (chunk_capacity_ - chunk_used_ < n) {
+  const bool open_chunk = chunk_capacity_ - chunk_used_ < n;
+  if (open_chunk) {
+    // Every byte of the chunk is written before it is read (records are
+    // copied or rendered in whole), so skip the zero fill.
     size_t capacity = n > kChunkSize ? n : kChunkSize;
-    chunks_.push_back(std::make_unique<uint8_t[]>(capacity));
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(capacity));
     chunk_used_ = 0;
     chunk_capacity_ = capacity;
   }
   uint8_t* result = chunks_.back().get() + chunk_used_;
   chunk_used_ += n;
   bytes_used_ += static_cast<int64_t>(n);
-  if (tracker_ != nullptr) {
-    tracker_->Allocated(static_cast<int64_t>(n));
+  if (open_chunk) {
+    FlushTracker();  // the new record included
   }
   return result;
 }
@@ -86,20 +100,19 @@ uint32_t NativePartition::record_size(size_t i) const {
 }
 
 uint64_t NativePartition::ComputeChecksum() const {
-  // FNV-1a over each record's size prefix and body (shared helper so the
-  // shuffle service's spill-block seals use the identical hash). Linear in
-  // the bytes, paid once at commit and once per stage read — noise next to
-  // the interpreter's per-record cost.
-  Fnv1a h;
+  // The seal hash over each record's size prefix and body, which sit
+  // back-to-back in the chunk, so one Update covers both (shared helper so
+  // the shuffle service's spill-block seals use the identical hash). Linear
+  // in the bytes, paid once at commit and once per stage read.
+  SealHash h;
   for (size_t i = 0; i < records_.size(); ++i) {
-    uint32_t size = record_size(i);
-    h.Update(&size, sizeof(size));
-    h.Update(reinterpret_cast<const uint8_t*>(records_[i]), size);
+    h.Update(reinterpret_cast<const uint8_t*>(records_[i]) - 4, 4 + size_t{record_size(i)});
   }
   return h.digest();
 }
 
 void NativePartition::Seal() {
+  FlushTracker();
   checksum_ = ComputeChecksum();
   sealed_ = true;
 }
@@ -160,6 +173,7 @@ NativePartition NativePartition::Parse(ByteReader& in, MemoryTracker* tracker) {
   // parse crash.
   partition.checksum_ = in.ReadU64();
   partition.sealed_ = true;
+  partition.FlushTracker();
   return partition;
 }
 

@@ -42,6 +42,10 @@ class NativePartition {
  public:
   // `tracker`, when given, sees allocations/frees so engine-level peak
   // memory (heap + native) can be reported like the paper's pmap numbers.
+  // Bytes are reported in batches, not per record: whenever a chunk opens
+  // (the record that opened it included) and at Seal, Parse, Release and
+  // move. So the tracker is exact at every stage barrier, and in between it
+  // reads low by less than one chunk per partition still growing.
   explicit NativePartition(MemoryTracker* tracker = nullptr);
   ~NativePartition();
   NativePartition(NativePartition&& other) noexcept;
@@ -88,6 +92,8 @@ class NativePartition {
  private:
   static constexpr size_t kChunkSize = 256 * 1024;
   uint8_t* Allocate(size_t n);
+  // Reports bytes_used_ - tracked_bytes_ to the tracker.
+  void FlushTracker();
   uint64_t ComputeChecksum() const;
 
   MemoryTracker* tracker_ = nullptr;
@@ -95,6 +101,7 @@ class NativePartition {
   size_t chunk_used_ = 0;       // bytes used in the last chunk
   size_t chunk_capacity_ = 0;   // capacity of the last chunk
   int64_t bytes_used_ = 0;
+  int64_t tracked_bytes_ = 0;     // the part of bytes_used_ the tracker has seen
   std::vector<int64_t> records_;  // body addresses
   bool sealed_ = false;
   uint64_t checksum_ = 0;

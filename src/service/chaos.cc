@@ -224,11 +224,15 @@ ChaosReport RunChaosCampaign(const ChaosConfig& config, const ChaosWorkload& wor
     return report;
   }
 
-  // Guarantee at least one full breaker cycle: trip slot 0, then feed clean
-  // probe jobs until one closes (bounded — probes land round-robin-ish, so
-  // a couple of rounds of probe_jobs suffice).
+  // Guarantee at least one full breaker cycle: trip every slot, then feed
+  // clean probe jobs until one closes. Which dispatcher takes a probe is up
+  // to thread wake-up order, so no single slot is sure to see probe_jobs of
+  // them — but with every slot tripped, whichever does closes its breaker,
+  // and some slot must within num_engines * (probe_jobs - 1) + 1 probes.
   if (config.force_breaker_cycle && service->breaker_stats().closes == 0) {
-    service->TripBreaker(0);
+    for (int slot = 0; slot < config.num_engines; ++slot) {
+      service->TripBreaker(slot);
+    }
     Session probe_session = service->CreateSession("chaos-probe");
     const int max_probes = config.num_engines * (config.breaker_probe_jobs + 1) * 4;
     for (int i = 0; i < max_probes && service->breaker_stats().closes == 0; ++i) {

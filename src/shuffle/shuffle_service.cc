@@ -109,7 +109,7 @@ void ShuffleRun::Add(int producer, int bucket, NativePartition&& part, EngineSta
     block.spilled = true;
     block.raw_size = static_cast<uint32_t>(wire.size());
     block.stored_size = static_cast<uint32_t>(stored.size());
-    block.seal = Fnv1aDigest(stored.data(), stored.size());
+    block.seal = SealDigest(stored.data(), stored.size());
     block.offset = file_.Append(stored.data(), stored.size());
     spilled_blocks_ += 1;
     if (stats != nullptr) {
@@ -163,7 +163,7 @@ BucketReader ShuffleRun::OpenBucket(int bucket, EngineStats* stats, TraceSink* s
     }
     stored.resize(block.stored_size);
     file_.ReadAt(block.offset, stored.data(), stored.size());
-    if (Fnv1aDigest(stored.data(), stored.size()) != block.seal) {
+    if (SealDigest(stored.data(), stored.size()) != block.seal) {
       throw TaskError(TaskErrorKind::kCorruptInput, -1, 0, 0,
                       "spilled shuffle block failed its integrity seal (bucket " +
                           std::to_string(bucket) + ", producer " +

@@ -10,7 +10,7 @@
 //     memory with zero copies, preserving the seed's zero-serialization
 //     shuffle. With a positive threshold, blocks past the resident budget
 //     are serialized to wire form, optionally compressed, sealed with
-//     FNV-1a over the stored bytes, and appended to an unlinked spill file.
+//     SealDigest over the stored bytes, and appended to an unlinked spill file.
 //   * Fetch-on-demand with bounded credit — a consumer acquires credit for
 //     the raw bytes of its bucket's spilled blocks before fetching, so the
 //     total fetched-and-resident memory across concurrent consumers is
@@ -153,7 +153,7 @@ class ShuffleRun {
     int64_t offset = 0;           // spill-file offset of the stored bytes
     uint32_t stored_size = 0;     // on-disk size (post-compression)
     uint32_t raw_size = 0;        // wire size (pre-compression)
-    uint64_t seal = 0;            // FNV-1a over the stored bytes
+    uint64_t seal = 0;            // SealDigest over the stored bytes
   };
 
   ShuffleConfig config_;

@@ -50,6 +50,8 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "job_cancel";
     case TraceEventType::kBreaker:
       return "breaker";
+    case TraceEventType::kCombineAbort:
+      return "combine_abort";
   }
   return "?";
 }

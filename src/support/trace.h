@@ -61,6 +61,7 @@ enum class TraceEventType : uint8_t {
   kAdmissionReject,    // instant: service refused a job at Submit (arg = job id)
   kJobCancel,          // instant: job cancelled / deadline-expired (arg = job id)
   kBreaker,            // instant: slot breaker transition (arg = slot)
+  kCombineAbort,       // instant: map-side combine gave up (arg = AbortReason)
 };
 
 const char* TraceEventTypeName(TraceEventType type);

@@ -9,6 +9,7 @@
 
 #include "src/analysis/layout.h"
 #include "src/analysis/ser_analyzer.h"
+#include "src/dataflow/spark.h"
 #include "src/exec/ser_executor.h"
 #include "src/ir/builder.h"
 #include "src/nativebuf/record_builder.h"
@@ -16,6 +17,7 @@
 #include "src/serde/inline_serializer.h"
 #include "src/support/rng.h"
 #include "src/transform/transformer.h"
+#include "tests/pair_job.h"
 
 namespace gerenuk {
 namespace {
@@ -206,6 +208,97 @@ TEST(NativePartitionTest, TrackerSeesAllocationAndRelease) {
   }
   EXPECT_EQ(tracker.live_bytes(), 0);
   EXPECT_GT(tracker.peak_bytes(), 0);
+}
+
+TEST(NativePartitionTest, EverySingleBitFlipFailsTheSeal) {
+  // Bodies of 3, 8 and 13 bytes: a tail alone, one whole word, a word and a
+  // tail. Each record hashes as [size:u32][body], so every shape of tail
+  // shows up.
+  NativePartition p;
+  for (uint32_t size : {3u, 8u, 13u}) {
+    std::vector<uint8_t> body(size);
+    for (uint32_t b = 0; b < size; ++b) {
+      body[b] = static_cast<uint8_t>(size * 16 + b);
+    }
+    p.AppendRecord(body.data(), size);
+  }
+  p.Seal();
+  ASSERT_TRUE(p.VerifyChecksum());
+  ByteBuffer wire;
+  p.SerializeTo(wire);
+
+  // Wire form: [count:u32] ([size:u32][body])* [checksum:u64]. Flip each bit
+  // of every size prefix and body. A body flip always parses and must fail
+  // verification; a size flip may instead no longer parse at all.
+  int flips = 0;
+  for (size_t byte = 4; byte + 8 < wire.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> bytes(wire.data(), wire.data() + wire.size());
+      bytes[byte] ^= static_cast<uint8_t>(1 << bit);
+      ByteReader in(bytes.data(), bytes.size());
+      bool detected = true;
+      try {
+        detected = !NativePartition::Parse(in).VerifyChecksum();
+      } catch (const WireFormatError&) {
+      }
+      EXPECT_TRUE(detected) << "byte " << byte << " bit " << bit;
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, 8 * (3 * 4 + 3 + 8 + 13));
+
+  // The same holds in place, on the sealed partition's own bytes.
+  for (size_t r = 0; r < p.record_count(); ++r) {
+    uint8_t* body = reinterpret_cast<uint8_t*>(p.record_addr(r));
+    for (uint32_t byte = 0; byte < p.record_size(r); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        body[byte] ^= static_cast<uint8_t>(1 << bit);
+        EXPECT_FALSE(p.VerifyChecksum()) << "record " << r << " byte " << byte << " bit " << bit;
+        body[byte] ^= static_cast<uint8_t>(1 << bit);
+      }
+    }
+  }
+  EXPECT_TRUE(p.VerifyChecksum());
+}
+
+TEST(MemoryTrackerTest, SparkJobReturnsLiveBytesWhenItsDatasetsDie) {
+  SparkJob job(SparkWith(2));
+  DatasetPtr in = job.MakeInput(20000);
+  const int64_t before = job.engine.memory().live_bytes();
+  {
+    DatasetPtr mapped =
+        job.engine.RunStage(in, job.udfs, {NarrowOp::Map(job.double_value, job.pair)});
+    DatasetPtr reduced = job.engine.ReduceByKey(mapped, job.udfs, {}, KeySpec{job.get_key, false},
+                                                job.sum_values);
+    DatasetPtr joined = job.engine.JoinByKey(reduced, KeySpec{job.get_key, false}, mapped,
+                                             KeySpec{job.get_key, false}, job.udfs,
+                                             job.sum_values, job.pair);
+    ASSERT_EQ(joined->TotalRecords(), 20000);
+    EXPECT_GT(job.engine.memory().live_bytes(), before);
+  }
+  EXPECT_EQ(job.engine.memory().live_bytes(), before);
+}
+
+TEST(MemoryTrackerTest, LiveBytesAreExactAtStageBarriers) {
+  SparkJob job(SparkWith(2));
+  // 60k Pair records: about 300 KB per partition, so each spans two chunks.
+  DatasetPtr in = job.MakeInput(60000);
+  auto heap_plus = [&job](std::initializer_list<const DatasetPtr*> live) {
+    int64_t bytes = job.engine.heap_used_bytes();
+    for (const DatasetPtr* ds : live) {
+      bytes += (*ds)->TotalBytes();
+    }
+    return bytes;
+  };
+  EXPECT_EQ(job.engine.memory().live_bytes(), heap_plus({&in}));
+  DatasetPtr mapped =
+      job.engine.RunStage(in, job.udfs, {NarrowOp::Map(job.double_value, job.pair)});
+  EXPECT_EQ(job.engine.memory().live_bytes(), heap_plus({&in, &mapped}));
+  DatasetPtr reduced = job.engine.ReduceByKey(mapped, job.udfs, {}, KeySpec{job.get_key, false},
+                                              job.sum_values);
+  EXPECT_EQ(job.engine.memory().live_bytes(), heap_plus({&in, &mapped, &reduced}));
+  in.reset();
+  EXPECT_EQ(job.engine.memory().live_bytes(), heap_plus({&mapped, &reduced}));
 }
 
 TEST(RecordBuilderTest, BuildAndRenderMatchesInlineSerializer) {

@@ -235,7 +235,7 @@ PlanCache::Entry SyntheticEntry() {
 }
 
 ProgramSignature Sig(const std::string& text) {
-  return ProgramSignature{Fnv1aDigest(text.data(), text.size()), text};
+  return ProgramSignature{SealDigest(text.data(), text.size()), text};
 }
 
 TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedUnderBudget) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <set>
 
 #include "src/dataflow/spark.h"
 #include "src/ir/builder.h"
+#include "tests/pair_job.h"
 
 namespace gerenuk {
 namespace {
@@ -322,6 +325,199 @@ TEST(SparkEngineTest, PeakMemoryTracked) {
   w.engine.ResetMetrics();
   w.engine.RunStage(in, w.udfs, {NarrowOp::Map(w.double_value, w.pair)});
   EXPECT_GT(w.engine.peak_memory_bytes(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Map-side combine
+// ---------------------------------------------------------------------------
+
+// Tagged{key, seq, tag} records reduced by "keep the lower seq, else the
+// left one": associative, but which record survives a tie depends on the
+// fold order — so it only matches baseline mode if the combiner keeps it.
+struct TaggedJob {
+  SparkEngine engine;
+  const Klass* tagged;
+  SerProgram udfs;
+  const Function* get_key;
+  const Function* keep_first_min;
+
+  explicit TaggedJob(const EngineConfig& config) : engine(config) {
+    KlassRegistry& reg = engine.heap().klasses();
+    tagged = reg.DefineClass("Tagged", {
+                                           {"key", FieldKind::kI64, nullptr, 0},
+                                           {"seq", FieldKind::kI64, nullptr, 0},
+                                           {"tag", FieldKind::kI64, nullptr, 0},
+                                       });
+    engine.RegisterDataType(tagged);
+    {
+      Function* f = udfs.AddFunction("tagged_key");
+      FunctionBuilder b(f);
+      int rec = b.Param("rec", IrType::Ref(tagged));
+      f->return_type = IrType::I64();
+      b.Return(b.FieldLoad(rec, tagged, "key"));
+      b.Done();
+      get_key = f;
+    }
+    {
+      Function* f = udfs.AddFunction("keep_first_min");
+      FunctionBuilder b(f);
+      int a = b.Param("a", IrType::Ref(tagged));
+      int c = b.Param("b", IrType::Ref(tagged));
+      f->return_type = IrType::Ref(tagged);
+      int out = b.Local("out", IrType::Ref(tagged));
+      b.AssignTo(out, a);
+      int lower = b.BinOp(BinOpKind::kLt, b.FieldLoad(c, tagged, "seq"),
+                          b.FieldLoad(a, tagged, "seq"));
+      b.If(lower, [&] { b.AssignTo(out, c); });
+      b.Return(out);
+      b.Done();
+      keep_first_min = f;
+    }
+  }
+
+  // key = i % 6; seq cycles 0..3 within a key, so every key has many ties.
+  DatasetPtr MakeInput(int64_t count) {
+    Heap& heap = engine.heap();
+    const Klass* k = tagged;
+    return engine.Source(k, count, [&heap, k](int64_t i, RootScope&) {
+      ObjRef rec = heap.AllocObject(k);
+      heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 6);
+      heap.SetPrim<int64_t>(rec, k->FindField("seq")->offset, (i / 6) % 4);
+      heap.SetPrim<int64_t>(rec, k->FindField("tag")->offset, i);
+      return rec;
+    });
+  }
+
+  std::vector<std::array<int64_t, 3>> Extract(const DatasetPtr& ds) {
+    RootScope scope(engine.heap());
+    std::vector<std::array<int64_t, 3>> rows;
+    for (size_t slot : engine.CollectToHeap(ds, scope)) {
+      ObjRef rec = scope.Get(slot);
+      rows.push_back({engine.heap().GetPrim<int64_t>(rec, tagged->FindField("key")->offset),
+                      engine.heap().GetPrim<int64_t>(rec, tagged->FindField("seq")->offset),
+                      engine.heap().GetPrim<int64_t>(rec, tagged->FindField("tag")->offset)});
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+};
+
+TEST(MapSideCombineTest, OrderSensitiveReduceMatchesBaseline) {
+  for (int parts : {1, 3, 4}) {
+    std::vector<std::array<int64_t, 3>> expected;
+    {
+      EngineConfig config;
+      config.execution.mode = EngineMode::kBaseline;
+      config.execution.num_partitions = parts;
+      TaggedJob job(config);
+      expected = job.Extract(job.engine.ReduceByKey(job.MakeInput(900), job.udfs, {},
+                                                    KeySpec{job.get_key, false},
+                                                    job.keep_first_min));
+    }
+    ASSERT_EQ(expected.size(), 6u);
+    for (int workers : kWorkerCounts) {
+      EngineConfig config = SparkWith(workers);
+      config.execution.num_partitions = parts;
+      TaggedJob job(config);
+      DatasetPtr out = job.engine.ReduceByKey(job.MakeInput(900), job.udfs, {},
+                                              KeySpec{job.get_key, false}, job.keep_first_min);
+      EXPECT_EQ(job.Extract(out), expected) << "parts=" << parts << " workers=" << workers;
+      EXPECT_EQ(job.engine.stats().aborts, 0);
+      // Source record i lands in map task i % parts; each task ships one
+      // partial per key it saw and folds everything else.
+      std::set<std::pair<int64_t, int64_t>> partials;
+      for (int64_t i = 0; i < 900; ++i) {
+        partials.insert({i % parts, i % 6});
+      }
+      EXPECT_EQ(job.engine.stats().combine_calls, 900 - static_cast<int64_t>(partials.size()))
+          << "parts=" << parts << " workers=" << workers;
+    }
+  }
+}
+
+TEST(MapSideCombineTest, EachMapTaskShipsOneRecordPerKey) {
+  SparkJob job(SparkWith(2));
+  // Keys i % 10; record i lands in map task i % 4, so each of the 4 tasks
+  // sees the 5 keys of its parity, 250 records in all.
+  DatasetPtr in = job.MakeInput(1000);
+  job.engine.ResetMetrics();
+  DatasetPtr out =
+      job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false}, job.sum_values);
+  EXPECT_EQ(out->TotalRecords(), 10);
+  // 4 map tasks x 5 keys x one Pair record ([size:u32] + 16-byte body).
+  EXPECT_EQ(job.engine.stats().shuffle_bytes, 4 * 5 * (4 + 16));
+  EXPECT_EQ(job.engine.stats().combine_calls, 1000 - 4 * 5);
+}
+
+// sum_values, except that folding key 3 first stores the sum into its left
+// input — the in-place mutation SO-App's acct_merge makes on overflow, which
+// the transformer fences with an abort. The slow path computes the same sum.
+const Function* AddPoisonedSum(PairUdfs* job) {
+  const Klass* pair = job->pair;
+  Function* f = job->udfs.AddFunction("poisoned_sum");
+  FunctionBuilder b(f);
+  int a = b.Param("a", IrType::Ref(pair));
+  int c = b.Param("b", IrType::Ref(pair));
+  f->return_type = IrType::Ref(pair);
+  int key = b.FieldLoad(a, pair, "key");
+  int sum = b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, pair, "value"), b.FieldLoad(c, pair, "value"));
+  b.If(b.BinOp(BinOpKind::kEq, key, b.ConstI(3)), [&] { b.FieldStore(a, pair, "value", sum); });
+  int out = b.NewObject(pair);
+  b.FieldStore(out, pair, "key", key);
+  b.FieldStore(out, pair, "value", sum);
+  b.Return(out);
+  b.Done();
+  return f;
+}
+
+TEST(MapSideCombineTest, CombinerAbortFallsBackWithoutFeedingTheGovernor) {
+  struct Run {
+    std::vector<uint8_t> bytes;
+    EngineStats stats;
+    int combine_aborts = 0;
+  };
+  auto run = [](EngineConfig config) {
+    // Threshold 0.5 over >= 4 tasks: the two combiner aborts in the 4-task
+    // map stage would flip the governor if they counted as speculation aborts.
+    config.fault.governor_abort_threshold = 0.5;
+    config.fault.governor_min_tasks = 4;
+    config.observability.trace = !config.execution.process_executors;
+    SparkJob job(config);
+    const Function* poisoned = AddPoisonedSum(&job);
+    DatasetPtr in = job.MakeInput(1000);
+    job.engine.ResetMetrics();
+    DatasetPtr out =
+        job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false}, poisoned);
+    Run r{DatasetBytes(out), job.engine.stats(), 0};
+    if (job.engine.trace() != nullptr) {
+      for (const TraceEvent& ev : job.engine.trace()->events()) {
+        r.combine_aborts += ev.type == TraceEventType::kCombineAbort ? 1 : 0;
+      }
+    }
+    return r;
+  };
+
+  std::vector<uint8_t> reference;
+  for (int workers : kWorkerCounts) {
+    Run r = run(SparkWith(workers));
+    // Key 3 reaches the odd map tasks (record i goes to task i % 4).
+    EXPECT_EQ(r.combine_aborts, 2) << "workers=" << workers;
+    EXPECT_EQ(r.stats.aborts, 1) << "workers=" << workers;    // key 3's reduce task only
+    EXPECT_EQ(r.stats.governor_flips, 0) << "workers=" << workers;
+    if (reference.empty()) {
+      reference = r.bytes;
+    }
+    EXPECT_EQ(r.bytes, reference) << "workers=" << workers;
+  }
+  ASSERT_EQ(reference.size(), 10u * 16u);
+  // In-process engines are gone before the first fork.
+  for (int workers : kWorkerCounts) {
+    EngineConfig config = SparkWith(workers);
+    config.execution.process_executors = true;
+    Run r = run(config);
+    EXPECT_EQ(r.bytes, reference) << "executors=" << workers;
+    EXPECT_EQ(r.stats.governor_flips, 0) << "executors=" << workers;
+  }
 }
 
 }  // namespace
