@@ -102,10 +102,10 @@ void FusedStageDepth() {
         b.Return(out);
         b.Done();
       }
-      DatasetPtr input = engine.Source(pair, 50000, [&](int64_t i, RootScope&) {
-        ObjRef rec = engine.heap().AllocObject(pair);
-        engine.heap().SetPrim<int64_t>(rec, pair->FindField("key")->offset, i);
-        engine.heap().SetPrim<double>(rec, pair->FindField("value")->offset, 0.0);
+      DatasetPtr input = engine.Source(pair, 50000, [&](int64_t i, SourceScope& s) {
+        ObjRef rec = s.heap.AllocObject(pair);
+        s.heap.SetPrim<int64_t>(rec, pair->FindField("key")->offset, i);
+        s.heap.SetPrim<double>(rec, pair->FindField("value")->offset, 0.0);
         return rec;
       });
       std::vector<NarrowOp> ops(static_cast<size_t>(depth), NarrowOp::Map(bump, pair));

@@ -91,11 +91,10 @@ struct AbortSweepJob {
 
   DatasetPtr MakeInput(int64_t count) {
     const Klass* k = pair;
-    Heap* h = &engine.heap();
-    return engine.Source(pair, count, [h, k](int64_t i, RootScope&) {
-      ObjRef rec = h->AllocObject(k);
-      h->SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 100);
-      h->SetPrim<double>(rec, k->FindField("value")->offset, (i % 13) - 6.0);
+    return engine.Source(pair, count, [k](int64_t i, SourceScope& s) {
+      ObjRef rec = s.heap.AllocObject(k);
+      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 100);
+      s.heap.SetPrim<double>(rec, k->FindField("value")->offset, (i % 13) - 6.0);
       return rec;
     });
   }

@@ -149,10 +149,10 @@ WorkloadResult RunTungstenWordCount(SparkEngine& engine, const std::vector<std::
 
   Heap& heap = engine.heap();
   DatasetPtr input = engine.Source(
-      line, static_cast<int64_t>(lines.size()), [&](int64_t i, RootScope& scope) {
-        size_t s = scope.Push(engine.wk().AllocString(lines[static_cast<size_t>(i)]));
-        ObjRef rec = heap.AllocObject(line);
-        heap.SetRef(rec, line->FindField("text")->offset, scope.Get(s));
+      line, static_cast<int64_t>(lines.size()), [&](int64_t i, SourceScope& s) {
+        size_t text = s.roots.Push(s.wk.AllocString(lines[static_cast<size_t>(i)]));
+        ObjRef rec = s.heap.AllocObject(line);
+        s.heap.SetRef(rec, line->FindField("text")->offset, s.roots.Get(text));
         return rec;
       });
   engine.ResetMetrics();

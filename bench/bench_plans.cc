@@ -294,10 +294,10 @@ void StageThroughput(bench::JsonWriter& json) {
       b.Return(out);
       b.Done();
     }
-    DatasetPtr input = engine.Source(pair, kRecords, [&](int64_t i, RootScope&) {
-      ObjRef rec = engine.heap().AllocObject(pair);
-      engine.heap().SetPrim<int64_t>(rec, pair->FindField("key")->offset, i % 97);
-      engine.heap().SetPrim<double>(rec, pair->FindField("value")->offset, i * 0.5);
+    DatasetPtr input = engine.Source(pair, kRecords, [&](int64_t i, SourceScope& s) {
+      ObjRef rec = s.heap.AllocObject(pair);
+      s.heap.SetPrim<int64_t>(rec, pair->FindField("key")->offset, i % 97);
+      s.heap.SetPrim<double>(rec, pair->FindField("value")->offset, i * 0.5);
       return rec;
     });
     engine.RunStage(input, udfs, {NarrowOp::Map(bump, pair)});  // warmup

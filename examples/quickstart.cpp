@@ -55,11 +55,10 @@ struct MeasurementJob {
   template <typename Engine>
   DatasetPtr MakeInput(Engine& engine, int64_t records) const {
     const Klass* k = measurement;
-    Heap* h = &engine.heap();
-    return engine.Source(k, records, [h, k](int64_t i, RootScope&) {
-      ObjRef rec = h->AllocObject(k);
-      h->SetPrim<int64_t>(rec, k->FindField("sensor")->offset, i % 16);
-      h->SetPrim<double>(rec, k->FindField("celsius")->offset, 20.0 + (i % 7));
+    return engine.Source(k, records, [k](int64_t i, SourceScope& s) {
+      ObjRef rec = s.heap.AllocObject(k);
+      s.heap.SetPrim<int64_t>(rec, k->FindField("sensor")->offset, i % 16);
+      s.heap.SetPrim<double>(rec, k->FindField("celsius")->offset, 20.0 + (i % 7));
       return rec;
     });
   }

@@ -13,6 +13,7 @@
 
 #include "src/dataflow/stage_compiler.h"
 #include "src/exec/interpreter.h"
+#include "src/exec/task_scheduler.h"
 #include "src/nativebuf/native_buffer.h"
 #include "src/runtime/roots.h"
 #include "src/serde/inline_serializer.h"
@@ -38,12 +39,32 @@ class Dataset {
 
 using DatasetPtr = std::shared_ptr<Dataset>;
 
-// Builds a source dataset: `make` returns a heap object per index (rooted in
-// the passed scope during conversion); the record is stored per `mode`.
-DatasetPtr MakeSourceDataset(Heap& heap, InlineSerializer& serde, MemoryTracker* tracker,
-                             EngineMode mode, const Klass* klass, int num_partitions,
-                             int64_t count,
-                             const std::function<ObjRef(int64_t, RootScope&)>& make);
+// What a source callback builds a record in: the heap, well-known classes
+// and root scope of the context running it — the engine's in kBaseline, the
+// running worker's in kGerenuk. A callback must be a pure function of its
+// index that only reads its captured inputs, and must allocate through
+// `heap`/`wk` alone (never a captured engine heap): in kGerenuk, tasks on
+// different workers call it concurrently.
+struct SourceScope {
+  Heap& heap;
+  WellKnown& wk;
+  RootScope& roots;
+};
+using SourceFn = std::function<ObjRef(int64_t index, SourceScope& scope)>;
+
+// Builds and seals a source dataset of `count` records; record i lands in
+// partition i % num_partitions, in ascending i. kBaseline builds every
+// record serially on the engine heap `heap` (the oracle). kGerenuk runs one
+// `scheduler` task per partition under a "source" stage span on
+// `driver_sink` (null = tracing off): the task builds its records in its own
+// worker heap, serializes them into the native partition, seals it, then
+// collects the worker heap so no ingest garbage outlives the task. The
+// ingest stage claims no task ordinals and its stats are discarded, so fault
+// plans and EngineStats see only the job's stages.
+DatasetPtr MakeSourceDataset(Heap& heap, WellKnown& wk, TaskScheduler& scheduler,
+                             MemoryTracker* tracker, TraceSink* driver_sink, EngineMode mode,
+                             const Klass* klass, int num_partitions, int64_t count,
+                             const SourceFn& make);
 
 // Key extraction for shuffles: an IR function T -> i64, or T -> String when
 // is_string is set.

@@ -161,16 +161,10 @@ void SparkEngine::RegisterDataType(const Klass* klass) {
   }
 }
 
-DatasetPtr SparkEngine::Source(const Klass* klass, int64_t count,
-                               const std::function<ObjRef(int64_t, RootScope&)>& make) {
-  DatasetPtr ds = MakeSourceDataset(*heap_, inline_serde_, &memory_, config_.execution.mode, klass,
-                                    config_.execution.num_partitions, count, make);
-  // Committed data carries an integrity seal from the moment it exists;
-  // consumers verify it at stage input (DESIGN.md "Fault model & recovery").
-  for (NativePartition& part : ds->native_parts) {
-    part.Seal();
-  }
-  return ds;
+DatasetPtr SparkEngine::Source(const Klass* klass, int64_t count, const SourceFn& make) {
+  return MakeSourceDataset(*heap_, *wk_, *scheduler_, &memory_, DriverSink(),
+                           config_.execution.mode, klass, config_.execution.num_partitions,
+                           count, make);
 }
 
 BroadcastVar SparkEngine::MakeBroadcast(ObjRef obj, const Klass* klass) {

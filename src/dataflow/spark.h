@@ -37,11 +37,6 @@
 
 namespace gerenuk {
 
-// Deprecated migration shim: the mini-Spark takes the shared EngineConfig
-// directly; out-of-tree callers spelling `SparkConfig` get one clean
-// deprecation warning and a rename.
-using SparkConfig [[deprecated("SparkConfig is EngineConfig; use EngineConfig")]] = EngineConfig;
-
 // A driver-built value shipped to every task (e.g. KMeans' current centers).
 struct BroadcastVar {
   const Klass* klass = nullptr;
@@ -65,11 +60,11 @@ class SparkEngine {
   void RegisterDataType(const Klass* klass);
   const DataStructAnalyzer& layouts() const { return layouts_; }
 
-  // Builds a source dataset. `make` returns a rooted heap object per index
-  // (the engine roots it during conversion); records are stored per the
-  // engine mode. Call ResetMetrics() afterwards to exclude generation cost.
-  DatasetPtr Source(const Klass* klass, int64_t count,
-                    const std::function<ObjRef(int64_t, RootScope&)>& make);
+  // Builds a sealed source dataset. `make` returns record `index` built in
+  // the SourceScope it is handed (see MakeSourceDataset: in kGerenuk the
+  // partitions are built in parallel on the worker pool). Call
+  // ResetMetrics() afterwards to exclude generation cost.
+  DatasetPtr Source(const Klass* klass, int64_t count, const SourceFn& make);
 
   BroadcastVar MakeBroadcast(ObjRef obj, const Klass* klass);
 

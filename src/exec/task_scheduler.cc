@@ -89,6 +89,20 @@ class TaskTraceScope {
   int attempt_ = 0;
 };
 
+// Reports the worker heap's unreported allocations to the shared tracker
+// when a task attempt ends, normally or by exception, so the tracker is
+// exact at every stage barrier despite batched reporting.
+class AttemptTrackerSync {
+ public:
+  explicit AttemptTrackerSync(Heap& heap) : heap_(heap) {}
+  ~AttemptTrackerSync() { heap_.SyncMemoryTracker(); }
+  AttemptTrackerSync(const AttemptTrackerSync&) = delete;
+  AttemptTrackerSync& operator=(const AttemptTrackerSync&) = delete;
+
+ private:
+  Heap& heap_;
+};
+
 }  // namespace
 
 void TaskScheduler::ThrowIfJobCancelled() const {
@@ -126,6 +140,7 @@ void TaskScheduler::RunAttempt(WorkerContext& ctx, int task, int attempt, bool f
   }
   ctx.BeginAttempt(attempt, policy_.task_deadline_ms);
   TaskTraceScope span(ctx.trace_sink(), task, attempt);
+  AttemptTrackerSync tracker_sync(ctx.heap());
   (*current_)(ctx, task);
 }
 
@@ -807,6 +822,7 @@ void TaskScheduler::RunStageSerial(int num_tasks, const Task& task, EngineStats*
     try {
       ThrowIfJobCancelled();
       TaskTraceScope span(ctx.trace_sink(), t, 1);
+      AttemptTrackerSync tracker_sync(ctx.heap());
       task(ctx, t);
     } catch (...) {
       errors_.emplace_back(t, std::current_exception());

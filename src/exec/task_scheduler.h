@@ -67,6 +67,11 @@ namespace gerenuk {
 // serial stages and single-worker pools).
 class WorkerContext {
  public:
+  // Worker heaps report allocations to the engine's shared MemoryTracker in
+  // batches of this much growth, plus exactly after every collection and at
+  // the end of every task attempt (so the tracker is exact at barriers).
+  static constexpr int64_t kTrackerReportSlackBytes = 256 * 1024;
+
   WorkerContext(int worker_id, const HeapConfig& heap_config, KlassRegistry* shared_klasses,
                 MemoryTracker* tracker)
       : worker_id_(worker_id),
@@ -101,9 +106,12 @@ class WorkerContext {
   void Recycle() {
     serde_.reset();
     wk_.reset();
+    if (heap_ != nullptr) {
+      heap_->set_memory_tracker(nullptr);  // the discarded heap's bytes are gone
+    }
     heap_.reset();
     heap_ = std::make_unique<Heap>(heap_config_, shared_klasses_);
-    heap_->set_memory_tracker(tracker_);
+    heap_->set_memory_tracker(tracker_, kTrackerReportSlackBytes);
     heap_->set_trace_sink(trace_sink_);
     wk_ = std::make_unique<WellKnown>(*heap_);
     serde_ = std::make_unique<InlineSerializer>(*heap_);

@@ -56,7 +56,6 @@ HadoopEngine::HadoopEngine(const HadoopConfig& config)
       heap_(std::make_unique<Heap>(HeapConfig{config.engine.execution.heap_bytes, config.engine.execution.gc, 0.55, 0.35, 2})),
       wk_(std::make_unique<WellKnown>(*heap_)),
       kryo_(*heap_),
-      inline_serde_(*heap_),
       governor_(config.engine.fault.governor_abort_threshold, config.engine.fault.governor_min_tasks) {
   heap_->set_memory_tracker(&memory_);
   // Worker heaps share the engine's class registry (see TaskScheduler); the
@@ -94,15 +93,10 @@ void HadoopEngine::RegisterDataType(const Klass* klass) {
   }
 }
 
-DatasetPtr HadoopEngine::Source(const Klass* klass, int64_t count,
-                                const std::function<ObjRef(int64_t, RootScope&)>& make) {
-  DatasetPtr ds = MakeSourceDataset(*heap_, inline_serde_, &memory_, config_.engine.execution.mode, klass,
-                                    config_.engine.execution.num_partitions, count, make);
-  // Seal committed inputs so map tasks verify integrity at stage input.
-  for (NativePartition& part : ds->native_parts) {
-    part.Seal();
-  }
-  return ds;
+DatasetPtr HadoopEngine::Source(const Klass* klass, int64_t count, const SourceFn& make) {
+  return MakeSourceDataset(*heap_, *wk_, *scheduler_, &memory_, DriverSink(),
+                           config_.engine.execution.mode, klass,
+                           config_.engine.execution.num_partitions, count, make);
 }
 
 void HadoopEngine::ResetMetrics() {

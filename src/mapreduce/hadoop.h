@@ -67,8 +67,8 @@ class HadoopEngine {
   void RegisterDataType(const Klass* klass);
   const DataStructAnalyzer& layouts() const { return layouts_; }
 
-  DatasetPtr Source(const Klass* klass, int64_t count,
-                    const std::function<ObjRef(int64_t, RootScope&)>& make);
+  // Builds a sealed source dataset; same contract as SparkEngine::Source.
+  DatasetPtr Source(const Klass* klass, int64_t count, const SourceFn& make);
 
   // Runs one MapReduce job.
   //   map_fn      — flatMap-style: input record -> out_klass[] (the emits)
@@ -143,7 +143,6 @@ class HadoopEngine {
   ExprPool pool_;
   DataStructAnalyzer layouts_{pool_};
   HeapSerializer kryo_;
-  InlineSerializer inline_serde_;
   MemoryTracker memory_;
   std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<Trace> trace_;  // allocated only when config.trace

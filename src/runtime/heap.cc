@@ -164,7 +164,9 @@ ObjRef Heap::AllocRaw(const Klass* klass, int64_t size, uint32_t aux) {
   if (used > peak_used_) {
     peak_used_ = used;
   }
-  SyncMemoryTracker();
+  if (used - tracker_reported_ >= tracker_report_slack_) {
+    SyncMemoryTracker();
+  }
   return obj;
 }
 

@@ -173,12 +173,23 @@ class Heap {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
   // When set, live heap bytes are mirrored into an external tracker so an
   // engine can observe the *combined* (heap + native buffer) footprint the
-  // way the paper's pmap sampling observes process memory.
-  void set_memory_tracker(MemoryTracker* tracker) {
+  // way the paper's pmap sampling observes process memory. Allocations
+  // report in batches: once the unreported growth reaches
+  // `report_slack_bytes` (0 = on every allocation). Every collection and
+  // every SyncMemoryTracker call reports exactly, so between those points
+  // the tracker reads low by less than the slack. Replacing a tracker
+  // returns the bytes this heap had reported to the old one.
+  void set_memory_tracker(MemoryTracker* tracker, int64_t report_slack_bytes = 0) {
+    if (memory_tracker_ != nullptr) {
+      memory_tracker_->Freed(tracker_reported_);
+    }
     memory_tracker_ = tracker;
+    tracker_report_slack_ = report_slack_bytes;
     tracker_reported_ = 0;
     SyncMemoryTracker();
   }
+  // Reports any unreported drift to the tracker now.
+  void SyncMemoryTracker();
 
  private:
   // Mark-word bit assignments (offset 0 of every object):
@@ -277,14 +288,13 @@ class Heap {
   // Scavenge state (valid during MinorCollect).
   std::vector<ObjRef> promoted_worklist_;
 
-  void SyncMemoryTracker();
-
   HeapStats stats_;
   int64_t peak_used_ = 0;
   PhaseTimes* phase_times_ = nullptr;
   TraceSink* trace_sink_ = nullptr;
   MemoryTracker* memory_tracker_ = nullptr;
   int64_t tracker_reported_ = 0;
+  int64_t tracker_report_slack_ = 0;
   bool in_gc_ = false;
 };
 

@@ -230,27 +230,30 @@ HadoopWorkloads::HadoopWorkloads(HadoopEngine& engine) : engine_(engine) {
 }
 
 DatasetPtr HadoopWorkloads::MakePostInput(const std::vector<SyntheticPost>& posts) {
-  Heap& heap = engine_.heap();
+  const int user_off = post->FindField("user")->offset;
+  const int topic_off = post->FindField("topic")->offset;
+  const int score_off = post->FindField("score")->offset;
+  const int text_off = post->FindField("text")->offset;
   return engine_.Source(
-      post, static_cast<int64_t>(posts.size()), [&](int64_t i, RootScope& scope) {
+      post, static_cast<int64_t>(posts.size()), [&](int64_t i, SourceScope& s) {
         const SyntheticPost& p = posts[static_cast<size_t>(i)];
-        size_t text = scope.Push(engine_.wk().AllocString(p.text));
-        ObjRef rec = heap.AllocObject(post);
-        heap.SetPrim<int64_t>(rec, post->FindField("user")->offset, p.user_id);
-        heap.SetPrim<int32_t>(rec, post->FindField("topic")->offset, p.topic);
-        heap.SetPrim<int32_t>(rec, post->FindField("score")->offset, p.score);
-        heap.SetRef(rec, post->FindField("text")->offset, scope.Get(text));
+        size_t text = s.roots.Push(s.wk.AllocString(p.text));
+        ObjRef rec = s.heap.AllocObject(post);
+        s.heap.SetPrim<int64_t>(rec, user_off, p.user_id);
+        s.heap.SetPrim<int32_t>(rec, topic_off, p.topic);
+        s.heap.SetPrim<int32_t>(rec, score_off, p.score);
+        s.heap.SetRef(rec, text_off, s.roots.Get(text));
         return rec;
       });
 }
 
 DatasetPtr HadoopWorkloads::MakeTextInput(const std::vector<std::string>& lines) {
-  Heap& heap = engine_.heap();
+  const int text_off = doc->FindField("text")->offset;
   return engine_.Source(
-      doc, static_cast<int64_t>(lines.size()), [&](int64_t i, RootScope& scope) {
-        size_t text = scope.Push(engine_.wk().AllocString(lines[static_cast<size_t>(i)]));
-        ObjRef rec = heap.AllocObject(doc);
-        heap.SetRef(rec, doc->FindField("text")->offset, scope.Get(text));
+      doc, static_cast<int64_t>(lines.size()), [&](int64_t i, SourceScope& s) {
+        size_t text = s.roots.Push(s.wk.AllocString(lines[static_cast<size_t>(i)]));
+        ObjRef rec = s.heap.AllocObject(doc);
+        s.heap.SetRef(rec, text_off, s.roots.Get(text));
         return rec;
       });
 }

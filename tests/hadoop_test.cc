@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/ir/builder.h"
 #include "src/mapreduce/hadoop.h"
+#include "tests/pair_job.h"
+#include "tests/source_ingest.h"
 
 namespace gerenuk {
 namespace {
@@ -135,16 +138,16 @@ struct WordCountWorkload {
     }
   }
 
-  ObjRef MakeLine(const std::string& text, RootScope& scope) {
-    size_t s = scope.Push(engine.wk().AllocString(text));
-    ObjRef rec = engine.heap().AllocObject(line);
-    engine.heap().SetRef(rec, line->FindField("text")->offset, scope.Get(s));
+  ObjRef MakeLine(const std::string& text, SourceScope& s) {
+    size_t str = s.roots.Push(s.wk.AllocString(text));
+    ObjRef rec = s.heap.AllocObject(line);
+    s.heap.SetRef(rec, line->FindField("text")->offset, s.roots.Get(str));
     return rec;
   }
 
   DatasetPtr MakeInput(int64_t lines) {
     const char* vocab[] = {"big", "data", "gerenuk", "spark", "hadoop", "native", "bytes"};
-    return engine.Source(line, lines, [this, &vocab](int64_t i, RootScope& scope) {
+    return engine.Source(line, lines, [this, &vocab](int64_t i, SourceScope& s) {
       std::string text;
       for (int w = 0; w < 5; ++w) {
         if (w > 0) {
@@ -152,7 +155,7 @@ struct WordCountWorkload {
         }
         text += vocab[(i * 5 + w * 3 + i / 7) % 7];
       }
-      return MakeLine(text, scope);
+      return MakeLine(text, s);
     });
   }
 
@@ -266,6 +269,79 @@ TEST(HadoopEngineTest, CompilerStatsAccumulate) {
   w.engine.RunJob(in, w.udfs, w.tokenize, w.word_count, KeySpec{w.word_key, true}, w.sum_counts);
   EXPECT_GT(w.engine.stats().transform.statements_transformed, 20);
   EXPECT_GT(w.engine.stats().transform.functions_transformed, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Source ingest: in kGerenuk every partition is built by a worker-pool task.
+// ---------------------------------------------------------------------------
+
+// Post{user, topic, score, text: String}: the Hadoop post record shape. Post
+// i has user i / 3 and a text of 5 + i % 37 characters.
+struct PostSourceJob {
+  HadoopEngine engine;
+  const Klass* post;
+
+  explicit PostSourceJob(const HadoopConfig& config) : engine(config) {
+    post = engine.heap().klasses().DefineClass(
+        "Post", {
+                    {"user", FieldKind::kI64, nullptr, 0},
+                    {"topic", FieldKind::kI32, nullptr, 0},
+                    {"score", FieldKind::kI32, nullptr, 0},
+                    {"text", FieldKind::kRef, engine.wk().string_klass(), 0},
+                });
+    engine.RegisterDataType(post);
+  }
+
+  DatasetPtr MakeInput(int64_t count) {
+    const int user_off = post->FindField("user")->offset;
+    const int topic_off = post->FindField("topic")->offset;
+    const int score_off = post->FindField("score")->offset;
+    const int text_off = post->FindField("text")->offset;
+    return engine.Source(post, count, [&](int64_t i, SourceScope& s) {
+      const std::string text =
+          "post " + std::to_string(i) + std::string(static_cast<size_t>(i % 37), 'x');
+      size_t str = s.roots.Push(s.wk.AllocString(text));
+      ObjRef rec = s.heap.AllocObject(post);
+      s.heap.SetPrim<int64_t>(rec, user_off, i / 3);
+      s.heap.SetPrim<int32_t>(rec, topic_off, static_cast<int32_t>(i % 5));
+      s.heap.SetPrim<int32_t>(rec, score_off, static_cast<int32_t>(i % 11) - 2);
+      s.heap.SetRef(rec, text_off, s.roots.Get(str));
+      return rec;
+    });
+  }
+};
+
+constexpr int64_t kIngestPosts = 5003;
+
+TEST(SourceIngestTest, StringPartitionsIdenticalAtAnyWorkerCount) {
+  PartitionPrint reference;
+  {
+    PostSourceJob job(HadoopWith(1));
+    reference = PrintPartitions(job.MakeInput(kIngestPosts));
+  }
+  // In-process engines first: process-mode engines must fork from a driver
+  // with no worker threads alive.
+  for (bool processes : {false, true}) {
+    for (int workers : kWorkerCounts) {
+      HadoopConfig config = HadoopWith(workers);
+      config.engine.execution.process_executors = processes;
+      PostSourceJob job(config);
+      EXPECT_EQ(PrintPartitions(job.MakeInput(kIngestPosts)), reference)
+          << "workers=" << workers << " processes=" << processes;
+    }
+  }
+}
+
+TEST(SourceIngestTest, BaselineHeapPartitionsHoldTheSameStringRecords) {
+  HadoopConfig config = HadoopWith(1);
+  config.engine.execution.mode = EngineMode::kBaseline;
+  PostSourceJob baseline(config);
+  DatasetPtr heap_ds = baseline.MakeInput(kIngestPosts);
+  PostSourceJob gerenuk(HadoopWith(2));
+  DatasetPtr native_ds = gerenuk.MakeInput(kIngestPosts);
+  EXPECT_EQ(heap_ds->TotalRecords(), kIngestPosts);
+  EXPECT_EQ(BaselineRecordBodies(baseline.engine.heap(), heap_ds),
+            NativeRecordBodies(native_ds));
 }
 
 }  // namespace

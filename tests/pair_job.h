@@ -110,11 +110,10 @@ inline void BuildPairUdfs(Engine& engine, PairUdfs* out) {
 template <typename Engine>
 inline DatasetPtr MakePairInput(Engine& engine, const PairUdfs& udfs, int64_t count) {
   const Klass* k = udfs.pair;
-  Heap* h = &engine.heap();
-  return engine.Source(k, count, [h, k](int64_t i, RootScope&) {
-    ObjRef rec = h->AllocObject(k);
-    h->SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 10);
-    h->SetPrim<double>(rec, k->FindField("value")->offset, (i % 7) - 3.0);
+  return engine.Source(k, count, [k](int64_t i, SourceScope& s) {
+    ObjRef rec = s.heap.AllocObject(k);
+    s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 10);
+    s.heap.SetPrim<double>(rec, k->FindField("value")->offset, (i % 7) - 3.0);
     return rec;
   });
 }

@@ -87,6 +87,35 @@ TEST(TaskSchedulerTest, WorkerHeapsAreIsolatedMutators) {
       &stats);
 }
 
+TEST(TaskSchedulerTest, TrackerExactAfterBatchedReportsAndRecycledRetries) {
+  for (int workers : kWorkerCounts) {
+    MemoryTracker tracker;
+    TaskScheduler sched(workers, HeapConfig{8u << 20}, nullptr, &tracker);
+    RetryPolicy policy;
+    policy.max_attempts = 2;
+    sched.set_retry_policy(policy);
+    EngineStats stats;
+    // Each attempt allocates far less than the report slack, so its bytes
+    // reach the tracker only when the attempt ends. Task 3's first attempt
+    // then throws, and its recycled heap must take its bytes back out.
+    sched.RunStage(
+        8,
+        [&](WorkerContext& ctx, int t) {
+          const Klass* i64s = ctx.heap().klasses().Find("i64[]");
+          for (int i = 0; i < 10; ++i) {
+            ctx.heap().AllocArray(i64s, 8);
+          }
+          if (t == 3 && ctx.attempt() == 1) {
+            throw std::runtime_error("retry me");
+          }
+        },
+        &stats);
+    EXPECT_EQ(stats.retries, 1) << "workers=" << workers;
+    EXPECT_GT(sched.heap_used_bytes(), 0) << "workers=" << workers;
+    EXPECT_EQ(tracker.live_bytes(), sched.heap_used_bytes()) << "workers=" << workers;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level determinism across worker counts
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "src/dataflow/spark.h"
 #include "src/ir/builder.h"
 #include "tests/pair_job.h"
+#include "tests/source_ingest.h"
 
 namespace gerenuk {
 namespace {
@@ -128,16 +129,16 @@ struct PairWorkload {
     }
   }
 
-  ObjRef MakePair(int64_t key, double value, RootScope& scope) {
-    ObjRef rec = engine.heap().AllocObject(pair);
-    engine.heap().SetPrim<int64_t>(rec, pair->FindField("key")->offset, key);
-    engine.heap().SetPrim<double>(rec, pair->FindField("value")->offset, value);
+  ObjRef MakePair(Heap& heap, int64_t key, double value) {
+    ObjRef rec = heap.AllocObject(pair);
+    heap.SetPrim<int64_t>(rec, pair->FindField("key")->offset, key);
+    heap.SetPrim<double>(rec, pair->FindField("value")->offset, value);
     return rec;
   }
 
   DatasetPtr MakeInput(int64_t count) {
-    return engine.Source(pair, count, [this](int64_t i, RootScope& scope) {
-      return MakePair(i % 10, (i % 7) - 3.0, scope);
+    return engine.Source(pair, count, [this](int64_t i, SourceScope& s) {
+      return MakePair(s.heap, i % 10, (i % 7) - 3.0);
     });
   }
 
@@ -254,7 +255,7 @@ TEST(SparkEngineTest, BroadcastVariable) {
     PairWorkload w(mode);
     DatasetPtr in = w.MakeInput(300);
     RootScope scope(w.engine.heap());
-    size_t bc_slot = scope.Push(w.MakePair(0, 100.0, scope));
+    size_t bc_slot = scope.Push(w.MakePair(w.engine.heap(), 0, 100.0));
     BroadcastVar bc = w.engine.MakeBroadcast(scope.Get(bc_slot), w.pair);
     DatasetPtr out = w.engine.RunStage(in, w.udfs, {NarrowOp::Map(w.add_broadcast, w.pair)}, &bc);
     results[static_cast<int>(mode)] = w.Extract(out);
@@ -270,8 +271,8 @@ TEST(SparkEngineTest, JoinByKeyMatchesAcrossModes) {
   for (EngineMode mode : {EngineMode::kBaseline, EngineMode::kGerenuk}) {
     PairWorkload w(mode);
     // Left: one record per key 0..9; right: 300 records keyed i%10.
-    DatasetPtr left = w.engine.Source(w.pair, 10, [&w](int64_t i, RootScope& scope) {
-      return w.MakePair(i, i * 10.0, scope);
+    DatasetPtr left = w.engine.Source(w.pair, 10, [&w](int64_t i, SourceScope& s) {
+      return w.MakePair(s.heap, i, i * 10.0);
     });
     DatasetPtr right = w.MakeInput(300);
     DatasetPtr out = w.engine.JoinByKey(left, KeySpec{w.get_key, false}, right,
@@ -377,13 +378,12 @@ struct TaggedJob {
 
   // key = i % 6; seq cycles 0..3 within a key, so every key has many ties.
   DatasetPtr MakeInput(int64_t count) {
-    Heap& heap = engine.heap();
     const Klass* k = tagged;
-    return engine.Source(k, count, [&heap, k](int64_t i, RootScope&) {
-      ObjRef rec = heap.AllocObject(k);
-      heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 6);
-      heap.SetPrim<int64_t>(rec, k->FindField("seq")->offset, (i / 6) % 4);
-      heap.SetPrim<int64_t>(rec, k->FindField("tag")->offset, i);
+    return engine.Source(k, count, [k](int64_t i, SourceScope& s) {
+      ObjRef rec = s.heap.AllocObject(k);
+      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 6);
+      s.heap.SetPrim<int64_t>(rec, k->FindField("seq")->offset, (i / 6) % 4);
+      s.heap.SetPrim<int64_t>(rec, k->FindField("tag")->offset, i);
       return rec;
     });
   }
@@ -518,6 +518,125 @@ TEST(MapSideCombineTest, CombinerAbortFallsBackWithoutFeedingTheGovernor) {
     EXPECT_EQ(r.bytes, reference) << "executors=" << workers;
     EXPECT_EQ(r.stats.governor_flips, 0) << "executors=" << workers;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Source ingest: in kGerenuk every partition is built by a worker-pool task.
+// ---------------------------------------------------------------------------
+
+// LabeledPoint{label, features: DenseVector{numActives, values: f64[]}}: the
+// nested-array record shape of the LR and CS inputs. Point i has label
+// i / 4 and 1 + i % 9 features.
+struct NestedPointJob {
+  SparkEngine engine;
+  const Klass* f64_array;
+  const Klass* dense_vector;
+  const Klass* labeled_point;
+
+  explicit NestedPointJob(const EngineConfig& config) : engine(config) {
+    KlassRegistry& reg = engine.heap().klasses();
+    f64_array = engine.wk().double_array();
+    dense_vector = reg.DefineClass("DenseVector", {
+                                                      {"numActives", FieldKind::kI32, nullptr, 0},
+                                                      {"values", FieldKind::kRef, f64_array, 0},
+                                                  });
+    labeled_point = reg.DefineClass("LabeledPoint", {
+                                                        {"label", FieldKind::kF64, nullptr, 0},
+                                                        {"features", FieldKind::kRef, dense_vector, 0},
+                                                    });
+    engine.RegisterDataType(labeled_point);
+  }
+
+  DatasetPtr MakeInput(int64_t count) {
+    const int num_actives_off = dense_vector->FindField("numActives")->offset;
+    const int values_off = dense_vector->FindField("values")->offset;
+    const int label_off = labeled_point->FindField("label")->offset;
+    const int features_off = labeled_point->FindField("features")->offset;
+    return engine.Source(labeled_point, count, [&](int64_t i, SourceScope& s) {
+      const int64_t dim = 1 + i % 9;
+      size_t arr = s.roots.Push(s.heap.AllocArray(f64_array, dim));
+      for (int64_t d = 0; d < dim; ++d) {
+        s.heap.ASet<double>(s.roots.Get(arr), d, static_cast<double>(i) * 0.5 + d);
+      }
+      size_t vec = s.roots.Push(s.heap.AllocObject(dense_vector));
+      s.heap.SetPrim<int32_t>(s.roots.Get(vec), num_actives_off, static_cast<int32_t>(dim));
+      s.heap.SetRef(s.roots.Get(vec), values_off, s.roots.Get(arr));
+      ObjRef rec = s.heap.AllocObject(labeled_point);
+      s.heap.SetPrim<double>(rec, label_off, static_cast<double>(i) / 4.0);
+      s.heap.SetRef(rec, features_off, s.roots.Get(vec));
+      return rec;
+    });
+  }
+};
+
+constexpr int64_t kIngestPoints = 6001;  // partition 0 gets one extra record
+
+TEST(SourceIngestTest, NestedArrayPartitionsIdenticalAtAnyWorkerCount) {
+  PartitionPrint reference;
+  {
+    NestedPointJob job(SparkWith(1));
+    DatasetPtr in = job.MakeInput(kIngestPoints);
+    ASSERT_EQ(in->native_parts.size(), 4u);
+    EXPECT_EQ(in->native_parts[0].record_count(), 1501u);
+    EXPECT_EQ(in->native_parts[3].record_count(), 1500u);
+    reference = PrintPartitions(in);
+  }
+  // In-process engines first: process-mode engines must fork from a driver
+  // with no worker threads alive.
+  for (bool processes : {false, true}) {
+    for (int workers : kWorkerCounts) {
+      EngineConfig config = SparkWith(workers);
+      config.execution.process_executors = processes;
+      NestedPointJob job(config);
+      EXPECT_EQ(PrintPartitions(job.MakeInput(kIngestPoints)), reference)
+          << "workers=" << workers << " processes=" << processes;
+    }
+  }
+}
+
+TEST(SourceIngestTest, BaselineHeapPartitionsHoldTheSameRecordsRoundRobin) {
+  EngineConfig config = SparkWith(1);
+  config.execution.mode = EngineMode::kBaseline;
+  NestedPointJob baseline(config);
+  DatasetPtr heap_ds = baseline.MakeInput(kIngestPoints);
+  NestedPointJob gerenuk(SparkWith(2));
+  DatasetPtr native_ds = gerenuk.MakeInput(kIngestPoints);
+
+  // Record i sits in heap partition i % 4 at position i / 4.
+  Heap& heap = baseline.engine.heap();
+  const int label_off = baseline.labeled_point->FindField("label")->offset;
+  for (size_t p = 0; p < heap_ds->heap_parts.size(); ++p) {
+    const std::vector<ObjRef>& part = heap_ds->heap_parts[p];
+    for (size_t j = 0; j < part.size(); ++j) {
+      const double i = static_cast<double>(p + j * heap_ds->heap_parts.size());
+      ASSERT_EQ(heap.GetPrim<double>(part[j], label_off), i / 4.0) << "p=" << p << " j=" << j;
+    }
+  }
+  EXPECT_EQ(heap_ds->TotalRecords(), kIngestPoints);
+  EXPECT_EQ(heap_ds->TotalBytes(), 0);
+  EXPECT_EQ(BaselineRecordBodies(heap, heap_ds), NativeRecordBodies(native_ds));
+}
+
+TEST(SourceIngestTest, WorkerHeapsEmptyAndTrackerExactAfterSource) {
+  for (int workers : kWorkerCounts) {
+    NestedPointJob job(SparkWith(workers));
+    DatasetPtr in = job.MakeInput(kIngestPoints);
+    const int64_t engine_heap = job.engine.heap().used_bytes();
+    // heap_used_bytes() adds the worker heaps' used bytes, none negative:
+    // equality means every worker heap is empty.
+    EXPECT_EQ(job.engine.heap_used_bytes(), engine_heap) << "workers=" << workers;
+    EXPECT_EQ(job.engine.memory().live_bytes(), engine_heap + in->TotalBytes())
+        << "workers=" << workers;
+  }
+}
+
+TEST(SourceIngestTest, FewerRecordsThanPartitionsLeavesEmptySealedPartitions) {
+  NestedPointJob job(SparkWith(2));
+  DatasetPtr in = job.MakeInput(3);
+  ASSERT_EQ(in->native_parts.size(), 4u);
+  EXPECT_EQ(in->native_parts[2].record_count(), 1u);
+  EXPECT_EQ(in->native_parts[3].record_count(), 0u);
+  EXPECT_TRUE(in->native_parts[3].sealed());
 }
 
 }  // namespace

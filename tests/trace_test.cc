@@ -2,6 +2,7 @@
 // merged timeline, the Chrome trace-event export shape, ring-buffer overflow
 // accounting, abort -> slow-path span nesting, and the sampled plan-op
 // profiler. See DESIGN.md "Observability".
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <string>
@@ -380,6 +381,47 @@ TEST(TraceNestingTest, AbortInstantNestsInFastSpanThenSlowPathFollows) {
   ASSERT_NE(slow, nullptr) << "no slow-path span after the abort";
   EXPECT_EQ(fast->worker, slow->worker);  // same tid lane in the export
   EXPECT_EQ(slow->attempt, fast->attempt);
+}
+
+// ---------------------------------------------------------------------------
+// Source ingest: one "source" stage span holding one task span per partition.
+// ---------------------------------------------------------------------------
+
+TEST(TraceSourceTest, IngestTasksNestInOneSourceStageSpan) {
+  std::vector<std::string> reference;
+  for (int workers : kWorkerCounts) {
+    EngineConfig config = SparkWith(workers);
+    config.observability.trace = true;
+    SparkJob job(config);
+    DatasetPtr in = job.MakeInput(400);
+    job.engine.RunStage(in, job.udfs, {NarrowOp::Map(job.double_value, job.pair)});
+    const std::vector<TraceEvent> events = job.engine.trace()->events();
+
+    const TraceEvent* source = nullptr;
+    for (const TraceEvent& ev : events) {
+      if (ev.type == TraceEventType::kStage && std::string(ev.name) == "source") {
+        ASSERT_EQ(source, nullptr) << "expected exactly one source stage";
+        source = &ev;
+      }
+    }
+    ASSERT_NE(source, nullptr) << "workers=" << workers;
+    std::vector<int64_t> tasks;
+    for (const TraceEvent& ev : events) {
+      if (ev.type == TraceEventType::kTask && ev.ts_ns >= source->ts_ns &&
+          ev.ts_ns + ev.dur_ns <= source->ts_ns + source->dur_ns) {
+        EXPECT_GE(ev.worker, 0) << "ingest tasks run on worker sinks";
+        tasks.push_back(ev.task);
+      }
+    }
+    std::sort(tasks.begin(), tasks.end());
+    EXPECT_EQ(tasks, (std::vector<int64_t>{0, 1, 2, 3})) << "workers=" << workers;
+
+    std::vector<std::string> scrubbed = job.engine.trace()->ScrubbedLines();
+    if (reference.empty()) {
+      reference = scrubbed;
+    }
+    EXPECT_EQ(scrubbed, reference) << "workers=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
