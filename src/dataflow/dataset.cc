@@ -39,55 +39,6 @@ int64_t Dataset::TotalBytes() const {
   return total;
 }
 
-DatasetPtr MakeSourceDataset(Heap& heap, WellKnown& wk, TaskScheduler& scheduler,
-                             MemoryTracker* tracker, TraceSink* driver_sink, EngineMode mode,
-                             const Klass* klass, int num_partitions, int64_t count,
-                             const SourceFn& make) {
-  auto dataset = std::make_shared<Dataset>(heap, klass, num_partitions, tracker);
-  if (mode == EngineMode::kBaseline) {
-    for (int64_t i = 0; i < count; ++i) {
-      RootScope roots(heap);
-      SourceScope scope{heap, wk, roots};
-      ObjRef rec = make(i, scope);
-      dataset->heap_parts[static_cast<size_t>(i % num_partitions)].push_back(rec);
-    }
-    for (NativePartition& part : dataset->native_parts) {
-      part.Seal();
-    }
-    return dataset;
-  }
-  EngineStats ingest_stats;  // not merged: ingest is input generation, not job work
-  TraceSpan stage_span(driver_sink, TraceEventType::kStage, "source");
-  scheduler.RunStage(
-      num_partitions,
-      [&](WorkerContext& ctx, int p) {
-        NativePartition& part = dataset->native_parts[static_cast<size_t>(p)];
-        try {
-          RootScope roots(ctx.heap());
-          SourceScope scope{ctx.heap(), ctx.wk(), roots};
-          ByteBuffer record;
-          for (int64_t i = p; i < count; i += num_partitions) {
-            record.Clear();
-            ctx.serde().WriteRecord(make(i, scope), klass, record);
-            roots.Clear();
-            part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
-          }
-          // Committed data carries an integrity seal from the moment it
-          // exists (DESIGN.md "Fault model & recovery").
-          part.Seal();
-        } catch (...) {
-          part.Release();
-          throw;
-        }
-        // Every object the task built is dead now. Collecting here keeps
-        // each worker heap from carrying an eden of ingest garbage (and its
-        // tracked bytes) through the rest of the job.
-        ctx.heap().CollectNow();
-      },
-      &ingest_stats);
-  return dataset;
-}
-
 ShuffleKey EvalShuffleKey(SerRunner& runner, const Function* key_fn, Value record,
                           bool is_string) {
   ShuffleKey key;

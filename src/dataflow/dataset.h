@@ -13,7 +13,6 @@
 
 #include "src/dataflow/stage_compiler.h"
 #include "src/exec/interpreter.h"
-#include "src/exec/task_scheduler.h"
 #include "src/nativebuf/native_buffer.h"
 #include "src/runtime/roots.h"
 #include "src/serde/inline_serializer.h"
@@ -51,20 +50,6 @@ struct SourceScope {
   RootScope& roots;
 };
 using SourceFn = std::function<ObjRef(int64_t index, SourceScope& scope)>;
-
-// Builds and seals a source dataset of `count` records; record i lands in
-// partition i % num_partitions, in ascending i. kBaseline builds every
-// record serially on the engine heap `heap` (the oracle). kGerenuk runs one
-// `scheduler` task per partition under a "source" stage span on
-// `driver_sink` (null = tracing off): the task builds its records in its own
-// worker heap, serializes them into the native partition, seals it, then
-// collects the worker heap so no ingest garbage outlives the task. The
-// ingest stage claims no task ordinals and its stats are discarded, so fault
-// plans and EngineStats see only the job's stages.
-DatasetPtr MakeSourceDataset(Heap& heap, WellKnown& wk, TaskScheduler& scheduler,
-                             MemoryTracker* tracker, TraceSink* driver_sink, EngineMode mode,
-                             const Klass* klass, int num_partitions, int64_t count,
-                             const SourceFn& make);
 
 // Key extraction for shuffles: an IR function T -> i64, or T -> String when
 // is_string is set.

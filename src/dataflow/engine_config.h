@@ -16,7 +16,7 @@
 #include <functional>
 #include <string>
 
-#include "src/dataflow/stage_compiler.h"  // EngineMode
+#include "src/dataflow/stage_compiler.h"  // EngineMode, PlanOptions
 #include "src/exec/fault.h"               // RetryPolicy, QuarantinePolicy
 #include "src/runtime/heap.h"             // GcKind
 
@@ -27,7 +27,7 @@ namespace gerenuk {
 // the engine's own governor) before each speculative stage, keyed by the
 // stage's ProgramSignature hash; `observe(sig, tasks, aborts)` is fed at
 // the stage barrier. Both driver-side, never from workers. Installed via
-// SparkEngine/HadoopEngine::set_speculation_oracle.
+// EngineCore::set_speculation_oracle (both engines).
 struct SpeculationOracle {
   std::function<bool(uint64_t signature_hash)> should_speculate;
   std::function<void(uint64_t signature_hash, int tasks, int aborts)> observe;
@@ -139,15 +139,15 @@ struct ObservabilityOptions {
   int64_t plan_profile_stride = 0;
 };
 
-// The slice of ExecutionOptions that participates in a SER's canonical
-// signature (see ComputeProgramSignature): plans compiled under different
-// vec configs must never share a PlanCache entry.
-inline VecSignature VecSignatureOf(const ExecutionOptions& execution) {
-  VecSignature vec;
-  vec.vectorize = execution.vectorize;
-  vec.vector_batch_size = execution.vector_batch_size;
-  vec.vec_bail_after_strips = execution.vec_bail_after_strips;
-  return vec;
+// The plan-compiler knobs of ExecutionOptions. One value feeds both the
+// SER's canonical signature (see ComputeProgramSignature) and CompilePlan,
+// so a PlanCache key always matches the plan compiled under it.
+inline PlanOptions PlanOptionsOf(const ExecutionOptions& execution) {
+  PlanOptions options;
+  options.vectorize = execution.vectorize;
+  options.vector_batch_size = execution.vector_batch_size;
+  options.vec_bail_after_strips = execution.vec_bail_after_strips;
+  return options;
 }
 
 struct EngineConfig {

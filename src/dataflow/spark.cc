@@ -1,5 +1,8 @@
 #include "src/dataflow/spark.h"
 
+#include <string>
+#include <unordered_map>
+
 #include "src/analysis/ser_analyzer.h"
 #include "src/dataflow/native_fold.h"
 #include "src/ir/builder.h"
@@ -11,27 +14,8 @@ namespace gerenuk {
 
 namespace {
 
-// Process-mode wire codec for a stage whose task `t` commits one sealed
-// partition into `(*parts)[t]`. Encode ships the partition's shuffle-wire
-// bytes (seal included); decode lands them in the driver's slot. Parse
-// failures are reclassified as the fail-closed TaskError{kCorruptInput}.
-StageCodec PartitionVectorCodec(std::vector<NativePartition>* parts, MemoryTracker* memory) {
-  StageCodec codec;
-  codec.encode = [parts](int task, ByteBuffer* out) {
-    (*parts)[static_cast<size_t>(task)].SerializeTo(*out);
-  };
-  codec.decode = [parts, memory](int task, ByteReader* in) {
-    try {
-      (*parts)[static_cast<size_t>(task)] = NativePartition::Parse(*in, memory);
-    } catch (const WireFormatError& e) {
-      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                      std::string("executor result failed wire parse: ") + e.what());
-    }
-  };
-  return codec;
-}
-
-// Same, for shuffle-map stages: task `t` commits one sealed partition per
+// Process-mode wire codec for shuffle-map stages (the bucket-row analogue of
+// EngineCore::PartitionVectorCodec): task `t` commits one sealed partition per
 // reduce bucket into `(*buckets)[t]`, concatenated on the wire in bucket
 // order (each partition's trailer delimits it).
 StageCodec BucketRowCodec(std::vector<std::vector<NativePartition>>* buckets,
@@ -99,14 +83,6 @@ class TaskBroadcast {
   bool rooted_ = false;
 };
 
-// One validation gate for the whole config, crossed before any member that
-// consumes a knob (the heap, the scheduler) is built.
-static const EngineConfig& ValidatedEngineConfig(const EngineConfig& config) {
-  const std::string error = config.Validate();
-  GERENUK_CHECK(error.empty()) << "invalid EngineConfig: " << error;
-  return config;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -114,58 +90,9 @@ static const EngineConfig& ValidatedEngineConfig(const EngineConfig& config) {
 // ---------------------------------------------------------------------------
 
 SparkEngine::SparkEngine(const EngineConfig& config)
-    : config_(ValidatedEngineConfig(config)),
-      heap_(std::make_unique<Heap>(HeapConfig{config.execution.heap_bytes, config.execution.gc, 0.55, 0.35, 2})),
-      wk_(std::make_unique<WellKnown>(*heap_)),
-      kryo_(*heap_),
-      inline_serde_(*heap_),
-      governor_(config.fault.governor_abort_threshold, config.fault.governor_min_tasks) {
-  heap_->set_memory_tracker(&memory_);
-  // Worker heaps share the engine's class registry, so Klass pointers in the
-  // driver-compiled programs are valid in every executor context. The engine
-  // WellKnown is built first (above), so the worker contexts find its
-  // classes already defined.
-  // Process executors only make sense for Gerenuk-mode stages (baseline
-  // stages mutate the shared engine heap and always run serially in the
-  // driver).
-  const bool process_mode =
-      config.execution.process_executors && config.execution.mode == EngineMode::kGerenuk;
-  scheduler_ = std::make_unique<TaskScheduler>(
-      config.execution.num_workers, HeapConfig{config.execution.heap_bytes, config.execution.gc, 0.55, 0.35, 2},
-      &heap_->klasses(), &memory_, process_mode);
-  scheduler_->set_retry_policy(config.retry_policy());
-  ExecutorSupervisorConfig supervision;
-  supervision.heartbeat_ms = config.execution.executor_heartbeat_ms;
-  supervision.heartbeat_timeout_ms = config.execution.executor_heartbeat_timeout_ms;
-  supervision.max_executor_relaunches = config.execution.max_executor_relaunches;
-  scheduler_->set_supervisor_config(supervision);
-  if (config.observability.trace) {
-    trace_ = std::make_unique<Trace>(scheduler_->num_workers(), config.observability.trace_buffer_events);
-    scheduler_->set_trace(trace_.get());
-    // Driver-side GC (the engine heap: sources, baseline stages, collect)
-    // reports into the driver's direct sink.
-    heap_->set_trace_sink(trace_->driver());
-  }
-}
+    : EngineCore(config), inline_serde_(*heap_) {}
 
 SparkEngine::~SparkEngine() = default;
-
-void SparkEngine::RegisterDataType(const Klass* klass) {
-  std::string error;
-  GERENUK_CHECK(layouts_.AnalyzeTopLevel(klass, &error)) << error;
-  if (!klass->is_array()) {
-    // The collection type T[] (§3.1's third annotation) joins the hierarchy
-    // so flatMap results are recognized as data collections.
-    const Klass* array = heap_->klasses().DefineArray(FieldKind::kRef, klass);
-    GERENUK_CHECK(layouts_.AnalyzeTopLevel(array, &error)) << error;
-  }
-}
-
-DatasetPtr SparkEngine::Source(const Klass* klass, int64_t count, const SourceFn& make) {
-  return MakeSourceDataset(*heap_, *wk_, *scheduler_, &memory_, DriverSink(),
-                           config_.execution.mode, klass, config_.execution.num_partitions,
-                           count, make);
-}
 
 BroadcastVar SparkEngine::MakeBroadcast(ObjRef obj, const Klass* klass) {
   BroadcastVar bc;
@@ -178,76 +105,6 @@ BroadcastVar SparkEngine::MakeBroadcast(ObjRef obj, const Klass* klass) {
   return bc;
 }
 
-void SparkEngine::ResetMetrics() {
-  stats_ = EngineStats{};
-  memory_.ResetPeak();
-  heap_->ResetStats();
-}
-
-MetricsRegistry SparkEngine::metrics() const {
-  MetricsRegistry registry;
-  stats_.ExportTo(&registry);
-  if (trace_ != nullptr) {
-    registry.Merge(trace_->metrics());
-  }
-  return registry;
-}
-
-// ---------------------------------------------------------------------------
-// Stage compilation
-// ---------------------------------------------------------------------------
-
-SparkEngine::CompiledStage SparkEngine::CompileStage(const Klass* in_klass,
-                                                     const SerProgram& udfs,
-                                                     const std::vector<NarrowOp>& ops,
-                                                     bool has_broadcast,
-                                                     const Klass* broadcast_klass) {
-  // The cache is only consulted when the plan compiler is on: an entry
-  // always carries (transformed, plan) as a unit, so a mixed-configuration
-  // engine never receives a plan it was told not to use.
-  PlanCache* cache = config_.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  CompiledStage stage = CompileNarrowStage(config_.execution.mode, layouts_, in_klass, udfs,
-                                           ops, has_broadcast, broadcast_klass,
-                                           &stats_.transform, heap_->klasses(), cache,
-                                           VecSignatureOf(config_.execution));
-  if (config_.execution.mode == EngineMode::kGerenuk) {
-    stats_.stages_compiled += 1;
-    if (stage.cache_hit) {
-      stats_.plan_cache_hits += 1;
-    } else if (config_.execution.use_plan_compiler && stage.transformed != nullptr) {
-      // The transformer may have grown the offset-expression pool; re-fold
-      // before lowering so every now-constant expression becomes an immediate.
-      pool_.FoldConstants();
-      stage.plan = CompilePlan(*stage.transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(stage.signature, {stage.transformed, stage.plan, nullptr, 0});
-      }
-    }
-  }
-  return stage;
-}
-
-SparkEngine::CompiledFn SparkEngine::CompileFn(const SerProgram& udfs, const Function* fn) {
-  PlanCache* cache = config_.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  CompiledFn compiled = CompileSingleFunction(config_.execution.mode, layouts_, udfs, fn,
-                                              &stats_.transform, cache,
-                                              VecSignatureOf(config_.execution));
-  if (compiled.cache_hit) {
-    stats_.plan_cache_hits += 1;
-  } else if (config_.execution.mode == EngineMode::kGerenuk &&
-             config_.execution.use_plan_compiler && compiled.transformed != nullptr) {
-    pool_.FoldConstants();
-    compiled.plan = CompilePlan(*compiled.transformed, layouts_, plan_options());
-    stats_.plans_compiled += 1;
-    if (cache != nullptr) {
-      cache->Insert(compiled.signature,
-                    {compiled.transformed, compiled.plan, compiled.fast_fn, 0});
-    }
-  }
-  return compiled;
-}
-
 // ---------------------------------------------------------------------------
 // Narrow stages
 // ---------------------------------------------------------------------------
@@ -255,10 +112,10 @@ SparkEngine::CompiledFn SparkEngine::CompileFn(const SerProgram& udfs, const Fun
 DatasetPtr SparkEngine::RunStage(const DatasetPtr& input, const SerProgram& udfs,
                                  const std::vector<NarrowOp>& ops,
                                  const BroadcastVar* broadcast) {
-  CompiledStage stage = CompileStage(input->klass, udfs, ops, broadcast != nullptr,
-                                     broadcast != nullptr ? broadcast->klass : nullptr);
-  return config_.execution.mode == EngineMode::kBaseline ? RunNarrowBaseline(input, stage, broadcast)
-                                               : RunNarrowGerenuk(input, stage, broadcast);
+  CompiledStage stage =
+      CompileStage(input->klass, udfs, ops, broadcast != nullptr ? broadcast->klass : nullptr);
+  return mode() == EngineMode::kBaseline ? RunNarrowBaseline(input, stage, broadcast)
+                                         : RunNarrowGerenuk(input, stage, broadcast);
 }
 
 DatasetPtr SparkEngine::RunNarrowBaseline(const DatasetPtr& input, const CompiledStage& stage,
@@ -303,10 +160,9 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
   int parts = config_.execution.num_partitions;
   auto out = std::make_shared<Dataset>(*heap_, stage.out_klass, parts, &memory_);
   const int64_t base = ClaimTaskOrdinals(parts);
-  const FaultPlan* faults = ActiveFaults();
   const bool speculate = ShouldSpeculateFor(stage.signature.hash);
   const int aborts_before = stats_.aborts;
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
+  const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "narrow");
   scheduler_->RunStage(
       parts,
@@ -315,14 +171,7 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
         SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *stage.original, *stage.transformed);
         NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
         TaskIo io;
-        io.input = &input->native_parts[static_cast<size_t>(p)];
-        io.stage_label = "narrow";
-        io.partition = p;
-        io.task_ordinal = base + p;
-        io.faults = faults;
-        io.attempt = ctx.attempt();
-        io.cancelled = [&ctx] { return ctx.cancelled(); };
-        BindObservability(&io, ctx);
+        BindTaskIo(&io, ctx, "narrow", &input->native_parts[static_cast<size_t>(p)], p, base + p);
         TaskBroadcast bc(ctx, broadcast);
         bc.Bind(&io);
         io.plan = stage.plan.get();
@@ -338,17 +187,7 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
           out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
         };
         io.on_abort = [&out_part] { out_part.Release(); };
-        if (speculate) {
-          SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-          if (!outcome.committed_fast_path) {
-            ctx.stats().aborts += outcome.aborts;
-          } else {
-            ctx.stats().fast_path_commits += 1;
-          }
-        } else {
-          exec.RunDirectSlowPath(io, ctx.stats().times);
-          ctx.stats().slow_path_direct += 1;
-        }
+        RunTask(exec, io, ctx, speculate);
         out_part.Seal();
       },
       &stats_, &codec);
@@ -439,7 +278,6 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
     }
   }
   const int64_t base = ClaimTaskOrdinals(parts);
-  const FaultPlan* faults = ActiveFaults();
   const bool speculate = ShouldSpeculateFor(stage.signature.hash);
   const int aborts_before = stats_.aborts;
   ShuffleKeyHash hasher;
@@ -453,14 +291,8 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
         std::vector<NativePartition>& task_buckets = (*buckets)[static_cast<size_t>(p)];
         SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *stage.original, *stage.transformed);
         TaskIo io;
-        io.input = &input->native_parts[static_cast<size_t>(p)];
-        io.stage_label = "shuffle";
-        io.partition = p;
-        io.task_ordinal = base + p;
-        io.faults = faults;
-        io.attempt = ctx.attempt();
-        io.cancelled = [&ctx] { return ctx.cancelled(); };
-        BindObservability(&io, ctx);
+        BindTaskIo(&io, ctx, "shuffle", &input->native_parts[static_cast<size_t>(p)], p,
+                   base + p);
         TaskBroadcast bc(ctx, broadcast);
         bc.Bind(&io);
         io.plan = stage.plan.get();
@@ -504,17 +336,7 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
             bucket.Release();
           }
         };
-        if (speculate) {
-          SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-          if (!outcome.committed_fast_path) {
-            ctx.stats().aborts += outcome.aborts;
-          } else {
-            ctx.stats().fast_path_commits += 1;
-          }
-        } else {
-          exec.RunDirectSlowPath(io, ctx.stats().times);
-          ctx.stats().slow_path_direct += 1;
-        }
+        RunTask(exec, io, ctx, speculate);
         if (combine_fn != nullptr && speculate) {
           CombineMapOutput(ctx, key, key_fn, *combine_fn, stage.out_klass, &task_buckets);
         }
@@ -583,7 +405,7 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
 DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& udfs,
                                     const std::vector<NarrowOp>& pre_ops, const KeySpec& key,
                                     const Function* reduce_fn, const BroadcastVar* broadcast) {
-  CompiledStage stage = CompileStage(input->klass, udfs, pre_ops, broadcast != nullptr,
+  CompiledStage stage = CompileStage(input->klass, udfs, pre_ops,
                                      broadcast != nullptr ? broadcast->klass : nullptr);
   CompiledFn key_c = CompileFn(udfs, key.fn);
   CompiledFn reduce_c = CompileFn(udfs, reduce_fn);
@@ -663,7 +485,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
   ClaimTaskOrdinals(config_.execution.num_partitions);
   const bool speculate = ShouldSpeculateFor(reduce_c.signature.hash);
   const int aborts_before = stats_.aborts;
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
+  const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "reduce");
   scheduler_->RunStage(
       config_.execution.num_partitions,
@@ -770,8 +592,8 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
                                   const DatasetPtr& right, const KeySpec& right_key,
                                   const SerProgram& udfs, const Function* combine_fn,
                                   const Klass* out_klass) {
-  CompiledStage left_stage = CompileStage(left->klass, udfs, {}, false, nullptr);
-  CompiledStage right_stage = CompileStage(right->klass, udfs, {}, false, nullptr);
+  CompiledStage left_stage = CompileStage(left->klass, udfs, {}, nullptr);
+  CompiledStage right_stage = CompileStage(right->klass, udfs, {}, nullptr);
   CompiledFn lkey = CompileFn(udfs, left_key.fn);
   CompiledFn rkey = CompileFn(udfs, right_key.fn);
   CompiledFn combine = CompileFn(udfs, combine_fn);
@@ -869,7 +691,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
   }
 
   ClaimTaskOrdinals(config_.execution.num_partitions);
-  const StageCodec codec = PartitionVectorCodec(&out->native_parts, &memory_);
+  const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "join");
   scheduler_->RunStage(
       config_.execution.num_partitions,

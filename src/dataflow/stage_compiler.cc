@@ -12,14 +12,14 @@ namespace gerenuk {
 ProgramSignature ComputeProgramSignature(EngineMode mode, const DataStructAnalyzer& layouts,
                                          const SerProgram& original,
                                          const std::vector<const Klass*>& klasses,
-                                         const VecSignature& vec) {
+                                         const PlanOptions& options) {
   std::ostringstream text;
   text << "mode=" << (mode == EngineMode::kGerenuk ? "gerenuk" : "baseline") << '\n';
   // The vec config is part of the plan's identity: the same SER lowers to a
   // different opcode stream (and layout choice) under a different config.
-  if (vec.vectorize) {
-    text << "vec=on batch=" << vec.vector_batch_size
-         << " bail=" << vec.vec_bail_after_strips << '\n';
+  if (options.vectorize) {
+    text << "vec=on batch=" << options.vector_batch_size
+         << " bail=" << options.vec_bail_after_strips << '\n';
   } else {
     text << "vec=off\n";
   }
@@ -66,7 +66,7 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
                                  const std::vector<NarrowOp>& ops, bool has_broadcast,
                                  const Klass* broadcast_klass, TransformStats* stats,
                                  KlassRegistry& registry, PlanCache* cache,
-                                 const VecSignature& vec) {
+                                 const PlanOptions& options) {
   StagePrograms stage;
   stage.original = std::make_unique<SerProgram>();
   stage.in_klass = in_klass;
@@ -132,7 +132,7 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
 
   stage.signature = ComputeProgramSignature(
       mode, layouts, *stage.original,
-      {stage.in_klass, stage.out_klass, has_broadcast ? broadcast_klass : nullptr}, vec);
+      {stage.in_klass, stage.out_klass, has_broadcast ? broadcast_klass : nullptr}, options);
   if (mode == EngineMode::kGerenuk) {
     PlanCache::Entry hit;
     if (cache != nullptr && cache->Lookup(stage.signature, &hit)) {
@@ -149,7 +149,7 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
 CompiledFunction CompileSingleFunction(EngineMode mode, const DataStructAnalyzer& layouts,
                                        const SerProgram& udfs, const Function* fn,
                                        TransformStats* stats, PlanCache* cache,
-                                       const VecSignature& vec) {
+                                       const PlanOptions& options) {
   CompiledFunction compiled;
   compiled.original = std::make_unique<SerProgram>();
   std::map<int, int> remap;
@@ -159,7 +159,7 @@ CompiledFunction CompileSingleFunction(EngineMode mode, const DataStructAnalyzer
   GERENUK_CHECK_EQ(compiled.original->functions.size(), 1u)
       << fn->name << " must not call helper functions";
   compiled.orig_fn = compiled.original->function(id);
-  compiled.signature = ComputeProgramSignature(mode, layouts, *compiled.original, {}, vec);
+  compiled.signature = ComputeProgramSignature(mode, layouts, *compiled.original, {}, options);
   if (mode == EngineMode::kGerenuk) {
     PlanCache::Entry hit;
     if (cache != nullptr && cache->Lookup(compiled.signature, &hit)) {

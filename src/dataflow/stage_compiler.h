@@ -11,39 +11,30 @@
 #include <vector>
 
 #include "src/analysis/layout.h"
+#include "src/exec/plan.h"        // PlanOptions, SerPlan
 #include "src/exec/plan_cache.h"  // ProgramSignature, PlanCache
 #include "src/ir/ir.h"
 #include "src/transform/transformer.h"
 
 namespace gerenuk {
 
-class SerPlan;  // src/exec/plan.h — compiled form of a transformed program
-
 enum class EngineMode : uint8_t { kBaseline, kGerenuk };
 
-// Vectorization configuration that participates in the SER's canonical
-// signature. Plans compiled under different vec configs differ (batch
-// opcodes, strip size, bail knob), so a cache hit must never cross them —
-// a scalar-compiled SerPlan served to a vectorized engine (or vice versa)
-// would silently execute with the wrong kernels. Mirrors the
-// EngineConfig::execution fields of the same names; defaults match theirs
-// so signature-only call sites (tests) stay aligned with a default engine.
-struct VecSignature {
-  bool vectorize = true;
-  int32_t vector_batch_size = 256;
-  int64_t vec_bail_after_strips = -1;
-};
-
-// Canonical signature of a SER: engine mode, vectorization config, the
+// Canonical signature of a SER: engine mode, the plan-compiler options, the
 // layouts of every klass the program touches (in order), and the printed
 // original program. Two jobs with the same signature compile to
 // byte-identical plans inside one engine, which is what makes the PlanCache
-// sound. Null klasses are skipped, so call sites pass `{in, out, broadcast}`
+// sound. The options take part because plans compiled under different vec
+// configs differ (batch opcodes, strip size, bail knob): a scalar-compiled
+// SerPlan served to a vectorized engine (or vice versa) would silently
+// execute with the wrong kernels. Engines pass the same PlanOptions they
+// hand CompilePlan (PlanOptionsOf), so the key always matches the plan.
+// Null klasses are skipped, so call sites pass `{in, out, broadcast}`
 // unconditionally.
 ProgramSignature ComputeProgramSignature(EngineMode mode, const DataStructAnalyzer& layouts,
                                          const SerProgram& original,
                                          const std::vector<const Klass*>& klasses,
-                                         const VecSignature& vec = VecSignature());
+                                         const PlanOptions& options = PlanOptions());
 
 struct NarrowOp {
   enum Kind : uint8_t { kMap, kFlatMap, kFilter } kind = kMap;
@@ -99,20 +90,20 @@ std::unique_ptr<SerProgram> CompileSerProgram(const SerProgram& original,
 // Builds and (in kGerenuk mode) compiles a fused narrow stage. With a
 // `cache`, a signature hit fills `transformed`/`plan`/`cache_hit` and skips
 // the transform entirely; the caller inserts on miss after compiling the
-// plan (the pool-fold + CompilePlan step lives in the engines).
+// plan (the pool-fold + CompilePlan step lives in EngineCore).
 StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layouts,
                                  const Klass* in_klass, const SerProgram& udfs,
                                  const std::vector<NarrowOp>& ops, bool has_broadcast,
                                  const Klass* broadcast_klass, TransformStats* stats,
                                  KlassRegistry& registry, PlanCache* cache = nullptr,
-                                 const VecSignature& vec = VecSignature());
+                                 const PlanOptions& options = PlanOptions());
 
 // Imports and compiles one self-contained function (key/reduce/combine).
 // Same cache contract as CompileNarrowStage.
 CompiledFunction CompileSingleFunction(EngineMode mode, const DataStructAnalyzer& layouts,
                                        const SerProgram& udfs, const Function* fn,
                                        TransformStats* stats, PlanCache* cache = nullptr,
-                                       const VecSignature& vec = VecSignature());
+                                       const PlanOptions& options = PlanOptions());
 
 }  // namespace gerenuk
 

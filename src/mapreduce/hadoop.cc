@@ -52,124 +52,25 @@ HadoopEngine::Segment::Segment(int partitions, MemoryTracker* tracker, EngineMod
 }
 
 HadoopEngine::HadoopEngine(const HadoopConfig& config)
-    : config_(ValidatedHadoopConfig(config)),
-      heap_(std::make_unique<Heap>(HeapConfig{config.engine.execution.heap_bytes, config.engine.execution.gc, 0.55, 0.35, 2})),
-      wk_(std::make_unique<WellKnown>(*heap_)),
-      kryo_(*heap_),
-      governor_(config.engine.fault.governor_abort_threshold, config.engine.fault.governor_min_tasks) {
-  heap_->set_memory_tracker(&memory_);
-  // Worker heaps share the engine's class registry (see TaskScheduler); the
-  // engine WellKnown above defines the well-known classes first.
-  // Process executors apply to Gerenuk-mode stages only (baseline stages
-  // mutate the shared engine heap and run serially in the driver).
-  const bool process_mode =
-      config.engine.execution.process_executors && config.engine.execution.mode == EngineMode::kGerenuk;
-  scheduler_ = std::make_unique<TaskScheduler>(
-      config.engine.execution.num_workers, HeapConfig{config.engine.execution.heap_bytes, config.engine.execution.gc, 0.55, 0.35, 2},
-      &heap_->klasses(), &memory_, process_mode);
-  scheduler_->set_retry_policy(config.engine.retry_policy());
-  ExecutorSupervisorConfig supervision;
-  supervision.heartbeat_ms = config.engine.execution.executor_heartbeat_ms;
-  supervision.heartbeat_timeout_ms = config.engine.execution.executor_heartbeat_timeout_ms;
-  supervision.max_executor_relaunches = config.engine.execution.max_executor_relaunches;
-  scheduler_->set_supervisor_config(supervision);
-  if (config.engine.observability.trace) {
-    trace_ = std::make_unique<Trace>(scheduler_->num_workers(), config.engine.observability.trace_buffer_events);
-    scheduler_->set_trace(trace_.get());
-    // Driver-side GC (sources, baseline phases, Yak epochs) reports into
-    // the driver's direct sink.
-    heap_->set_trace_sink(trace_->driver());
-  }
-}
+    : EngineCore(ValidatedHadoopConfig(config).engine),
+      num_reducers_(config.num_reducers),
+      sort_buffer_bytes_(config.sort_buffer_bytes),
+      yak_epochs_(config.yak_epochs) {}
 
 HadoopEngine::~HadoopEngine() = default;
-
-void HadoopEngine::RegisterDataType(const Klass* klass) {
-  std::string error;
-  GERENUK_CHECK(layouts_.AnalyzeTopLevel(klass, &error)) << error;
-  if (!klass->is_array()) {
-    const Klass* array = heap_->klasses().DefineArray(FieldKind::kRef, klass);
-    GERENUK_CHECK(layouts_.AnalyzeTopLevel(array, &error)) << error;
-  }
-}
-
-DatasetPtr HadoopEngine::Source(const Klass* klass, int64_t count, const SourceFn& make) {
-  return MakeSourceDataset(*heap_, *wk_, *scheduler_, &memory_, DriverSink(),
-                           config_.engine.execution.mode, klass,
-                           config_.engine.execution.num_partitions, count, make);
-}
-
-void HadoopEngine::ResetMetrics() {
-  stats_ = EngineStats{};
-  memory_.ResetPeak();
-  heap_->ResetStats();
-}
-
-MetricsRegistry HadoopEngine::metrics() const {
-  MetricsRegistry registry;
-  stats_.ExportTo(&registry);
-  if (trace_ != nullptr) {
-    registry.Merge(trace_->metrics());
-  }
-  return registry;
-}
 
 DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                                 const Function* map_fn, const Klass* out_klass,
                                 const KeySpec& key, const Function* reduce_fn,
                                 const Function* combiner_fn) {
-  const int reducers = config_.num_reducers;
-  // See SparkEngine::CompileStage: the cache is consulted only when the plan
-  // compiler is on, and entries carry (transformed, plan) as a unit.
-  PlanCache* cache = config_.engine.execution.use_plan_compiler ? plan_cache_ : nullptr;
-  const VecSignature vec = VecSignatureOf(config_.engine.execution);
+  const int reducers = num_reducers_;
   StagePrograms map_stage =
-      CompileNarrowStage(config_.engine.execution.mode, layouts_, input->klass, udfs,
-                         {NarrowOp::FlatMap(map_fn, out_klass)}, false, nullptr,
-                         &stats_.transform, heap_->klasses(), cache, vec);
-  CompiledFunction key_c = CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs,
-                                                 key.fn, &stats_.transform, cache, vec);
-  CompiledFunction reduce_c =
-      CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs, reduce_fn,
-                            &stats_.transform, cache, vec);
+      CompileStage(input->klass, udfs, {NarrowOp::FlatMap(map_fn, out_klass)}, nullptr);
+  CompiledFunction key_c = CompileFn(udfs, key.fn);
+  CompiledFunction reduce_c = CompileFn(udfs, reduce_fn);
   CompiledFunction combine_c;
   if (combiner_fn != nullptr) {
-    combine_c = CompileSingleFunction(config_.engine.execution.mode, layouts_, udfs,
-                                      combiner_fn, &stats_.transform, cache, vec);
-  }
-  if (config_.engine.execution.mode == EngineMode::kGerenuk &&
-      config_.engine.execution.use_plan_compiler) {
-    // Transformation may have grown the offset-expression pool; fold before
-    // lowering so now-constant expressions become plan immediates.
-    pool_.FoldConstants();
-    auto stage_plan = [&](StagePrograms* stage) {
-      if (stage->cache_hit) {
-        stats_.plan_cache_hits += 1;
-        return;
-      }
-      stage->plan = CompilePlan(*stage->transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(stage->signature, {stage->transformed, stage->plan, nullptr, 0});
-      }
-    };
-    auto fn_plan = [&](CompiledFunction* fn) {
-      if (fn->cache_hit) {
-        stats_.plan_cache_hits += 1;
-        return;
-      }
-      fn->plan = CompilePlan(*fn->transformed, layouts_, plan_options());
-      stats_.plans_compiled += 1;
-      if (cache != nullptr) {
-        cache->Insert(fn->signature, {fn->transformed, fn->plan, fn->fast_fn, 0});
-      }
-    };
-    stage_plan(&map_stage);
-    fn_plan(&key_c);
-    fn_plan(&reduce_c);
-    if (combiner_fn != nullptr) {
-      fn_plan(&combine_c);
-    }
+    combine_c = CompileFn(udfs, combiner_fn);
   }
 
   std::vector<Segment> segments;
@@ -180,15 +81,13 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
   // -------------------------------------------------------------------------
   // One map task per input split: chained jobs feed a previous job's output
   // in, whose partition count is the previous reducer count.
-  int map_tasks = config_.engine.execution.mode == EngineMode::kBaseline
-                      ? static_cast<int>(input->heap_parts.size())
-                      : static_cast<int>(input->native_parts.size());
+  int map_tasks = mode() == EngineMode::kBaseline ? static_cast<int>(input->heap_parts.size())
+                                                  : static_cast<int>(input->native_parts.size());
 
-  bool epochs = config_.yak_epochs && config_.engine.execution.mode == EngineMode::kBaseline;
+  bool epochs = yak_epochs_ && mode() == EngineMode::kBaseline;
   const int64_t map_base = ClaimTaskOrdinals(map_tasks);
-  const FaultPlan* faults = fault_plan_.empty() ? nullptr : &fault_plan_;
 
-  if (config_.engine.execution.mode == EngineMode::kBaseline) {
+  if (mode() == EngineMode::kBaseline) {
     TraceSpan map_span(DriverSink(), TraceEventType::kStage, "map");
     scheduler_->RunStageSerial(
         map_tasks,
@@ -214,7 +113,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             }
             ctx.stats().spills += 1;
             std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, config_.engine.execution.mode);
+            Segment segment(reducers, &memory_, mode());
             size_t i = 0;
             while (i < entries.size()) {
               size_t j = i + 1;
@@ -283,7 +182,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             ComputePhaseScope compute(ctx.stats().times);
             for (cursor = 0; cursor < in_part.size(); ++cursor) {
               interp.CallFunction(map_stage.original->body, {});
-              if (buffer.size() > config_.sort_buffer_bytes) {
+              if (buffer.size() > sort_buffer_bytes_) {
                 spill();
               }
             }
@@ -370,7 +269,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
         uint32_t num_segments = in->ReadU32();
         for (uint32_t s = 0; s < num_segments; ++s) {
           require(in->remaining() >= 4);  // a segment is at least one key count
-          Segment segment(reducers, &memory_, config_.engine.execution.mode);
+          Segment segment(reducers, &memory_, mode());
           for (int r = 0; r < reducers; ++r) {
             require(in->remaining() >= 4);
             uint32_t num_keys = in->ReadU32();
@@ -405,7 +304,8 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                            *map_stage.transformed);
           auto region = std::make_unique<NativePartition>(&memory_);  // map output region
           std::vector<BufferEntry> entries;
-          bool skip_combiner = false;  // set after an abort (see below)
+          // Governor-degraded tasks never combine; others stop after an abort.
+          bool skip_combiner = !map_speculate;
 
           auto spill = [&]() {
             if (entries.empty()) {
@@ -413,7 +313,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             }
             ctx.stats().spills += 1;
             std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, config_.engine.execution.mode);
+            Segment segment(reducers, &memory_, mode());
             BuilderStore builders(layouts_);
             std::unique_ptr<SerRunner> combine_runner = MakeFastRunner(
                 combiner_fn != nullptr ? combine_c.plan.get() : key_c.plan.get(),
@@ -471,18 +371,8 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           };
 
           TaskIo io;
-          io.input = &input->native_parts[static_cast<size_t>(task)];
-          io.stage_label = "map";
-          io.partition = task;
-          io.task_ordinal = map_base + task;
-          io.faults = faults;
-          io.attempt = ctx.attempt();
-          io.cancelled = [&ctx] { return ctx.cancelled(); };
-          io.trace = ctx.trace_sink();
-          if (config_.engine.observability.plan_profile_stride > 0) {
-            io.plan_profile = &ctx.stats().plan_ops;
-            io.plan_profile_stride = config_.engine.observability.plan_profile_stride;
-          }
+          BindTaskIo(&io, ctx, "map", &input->native_parts[static_cast<size_t>(task)], task,
+                     map_base + task);
           io.plan = map_stage.plan.get();
           if (key_c.plan != nullptr) {
             io.extra_plans.push_back(key_c.plan.get());
@@ -503,7 +393,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             int64_t committed = builders.Render(addr, klass, *region);
             entries.push_back({part, k, 0, 0, committed,
                                static_cast<uint32_t>(region->bytes_used() - before - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
+            if (region->bytes_used() > static_cast<int64_t>(sort_buffer_bytes_)) {
               spill();
             }
           };
@@ -531,7 +421,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                 region->AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
             entries.push_back({part, k, 0, 0, committed,
                                static_cast<uint32_t>(record.size() - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(config_.sort_buffer_bytes)) {
+            if (region->bytes_used() > static_cast<int64_t>(sort_buffer_bytes_)) {
               spill();
             }
           };
@@ -544,27 +434,12 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             local_segments.clear();
             skip_combiner = true;
           };
-          if (map_speculate) {
-            SpecOutcome outcome = exec.RunTaskIo(io, ctx.stats().times);
-            {
-              ComputePhaseScope compute(ctx.stats().times);
-              spill();
-            }
-            if (!outcome.committed_fast_path) {
-              ctx.stats().aborts += outcome.aborts;
-            } else {
-              ctx.stats().fast_path_commits += 1;
-            }
-          } else {
-            // Governor-degraded: skip speculation, run the original program
-            // directly (emits route through the same spill machinery).
-            skip_combiner = true;
-            exec.RunDirectSlowPath(io, ctx.stats().times);
-            {
-              ComputePhaseScope compute(ctx.stats().times);
-              spill();
-            }
-            ctx.stats().slow_path_direct += 1;
+          // A governor-degraded task runs the original program directly; its
+          // emits route through the same spill machinery.
+          RunTask(exec, io, ctx, map_speculate);
+          {
+            ComputePhaseScope compute(ctx.stats().times);
+            spill();
           }
           if (ctx.trace_sink() != nullptr) {
             ctx.trace_sink()->Counter(TraceEventType::kShuffleBytes, "shuffle_bytes",
@@ -612,7 +487,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
     return ref.segment->keys[static_cast<size_t>(r)][ref.index];
   };
 
-  if (config_.engine.execution.mode == EngineMode::kBaseline) {
+  if (mode() == EngineMode::kBaseline) {
     TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
     scheduler_->RunStageSerial(
         reducers,
@@ -677,18 +552,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
   const int reduce_aborts_before = stats_.aborts;
   // Process-mode wire codec: a reduce task commits one sealed output
   // partition; its shuffle-wire bytes (seal included) ship back whole.
-  StageCodec reduce_codec;
-  reduce_codec.encode = [&out](int task, ByteBuffer* wire) {
-    out->native_parts[static_cast<size_t>(task)].SerializeTo(*wire);
-  };
-  reduce_codec.decode = [this, &out](int task, ByteReader* in) {
-    try {
-      out->native_parts[static_cast<size_t>(task)] = NativePartition::Parse(*in, &memory_);
-    } catch (const WireFormatError& e) {
-      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                      std::string("reduce output failed wire parse: ") + e.what());
-    }
-  };
+  const StageCodec reduce_codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
   scheduler_->RunStage(
       reducers,

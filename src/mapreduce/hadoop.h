@@ -19,14 +19,10 @@
 #ifndef SRC_MAPREDUCE_HADOOP_H_
 #define SRC_MAPREDUCE_HADOOP_H_
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "src/dataflow/dataset.h"
-#include "src/dataflow/engine_config.h"
-#include "src/exec/ser_executor.h"
-#include "src/exec/task_scheduler.h"
-#include "src/serde/heap_serializer.h"
+#include "src/dataflow/engine_core.h"
 
 namespace gerenuk {
 
@@ -55,71 +51,25 @@ struct HadoopConfig {
   }
 };
 
-class HadoopEngine {
+class HadoopEngine : public EngineCore {
  public:
   explicit HadoopEngine(const HadoopConfig& config);
   ~HadoopEngine();
-
-  Heap& heap() { return *heap_; }
-  WellKnown& wk() { return *wk_; }
-  EngineMode mode() const { return config_.engine.execution.mode; }
-
-  void RegisterDataType(const Klass* klass);
-  const DataStructAnalyzer& layouts() const { return layouts_; }
-
-  // Builds a sealed source dataset; same contract as SparkEngine::Source.
-  DatasetPtr Source(const Klass* klass, int64_t count, const SourceFn& make);
 
   // Runs one MapReduce job.
   //   map_fn      — flatMap-style: input record -> out_klass[] (the emits)
   //   key         — key extraction over out_klass records
   //   reduce_fn   — pairwise fold: (acc, value) -> merged (same klass)
   //   combiner_fn — optional map-side combiner, same signature as reduce_fn
+  // Fault-plan ordinals are assigned in submission order: all map tasks of
+  // a job, then all reduce tasks. Both phases consult the speculation
+  // governor, and every map/reduce task-attempt boundary probes the cancel
+  // check.
   DatasetPtr RunJob(const DatasetPtr& input, const SerProgram& udfs, const Function* map_fn,
                     const Klass* out_klass, const KeySpec& key, const Function* reduce_fn,
                     const Function* combiner_fn = nullptr);
 
-  const EngineStats& stats() const { return stats_; }
-  int64_t peak_memory_bytes() const { return memory_.peak_bytes(); }
-  int num_workers() const { return scheduler_->num_workers(); }
-  void ResetMetrics();
-
-  // The engine's event timeline (null when config.trace is off); complete
-  // after RunJob returns. Export with TraceExporter.
-  Trace* trace() { return trace_.get(); }
-  // Unified metrics snapshot: every EngineStats counter, phase times,
-  // plan-op profile totals, and (when tracing) the trace-derived histograms.
-  MetricsRegistry metrics() const;
-
-  // Fault injection: ordinals are assigned in submission order (all map
-  // tasks of a job, then all reduce tasks), starting at next_task_ordinal().
-  FaultPlan& fault_plan() { return fault_plan_; }
-  int64_t next_task_ordinal() const { return task_seq_; }
-
-  // Driver-side speculation governor, shared semantics with SparkEngine
-  // (see src/exec/fault.h): both the map and reduce phases consult it.
-  const SpeculationGovernor& governor() const { return governor_; }
-
-  // Service-mode hooks, shared semantics with SparkEngine: install only
-  // while the engine is idle.
-  void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
-  PlanCache* plan_cache() const { return plan_cache_; }
-  void set_speculation_oracle(SpeculationOracle oracle) { oracle_ = std::move(oracle); }
-  // Job-level cooperative cancellation, shared semantics with SparkEngine:
-  // probed at every map/reduce task-attempt boundary.
-  void set_cancel_check(CancelCheck check) { scheduler_->set_cancel_check(std::move(check)); }
-
  private:
-  // The plan-compiler knobs derived from EngineConfig::execution; must agree
-  // with VecSignatureOf so the cache key always matches the compiled plan.
-  PlanOptions plan_options() const {
-    PlanOptions options;
-    options.vectorize = config_.engine.execution.vectorize;
-    options.vector_batch_size = config_.engine.execution.vector_batch_size;
-    options.vec_bail_after_strips = config_.engine.execution.vec_bail_after_strips;
-    return options;
-  }
-
   // One spilled, sorted map-output segment. Per reducer partition: records
   // in key order. Baseline keeps Kryo bytes; Gerenuk keeps native records.
   struct Segment {
@@ -131,49 +81,11 @@ class HadoopEngine {
     explicit Segment(int partitions, MemoryTracker* tracker, EngineMode mode);
   };
 
-  int64_t ClaimTaskOrdinals(int n) {
-    int64_t base = task_seq_;
-    task_seq_ += n;
-    return base;
-  }
-
-  HadoopConfig config_;
-  std::unique_ptr<Heap> heap_;
-  std::unique_ptr<WellKnown> wk_;
-  ExprPool pool_;
-  DataStructAnalyzer layouts_{pool_};
-  HeapSerializer kryo_;
-  MemoryTracker memory_;
-  std::unique_ptr<TaskScheduler> scheduler_;
-  std::unique_ptr<Trace> trace_;  // allocated only when config.trace
-  EngineStats stats_;
-  FaultPlan fault_plan_;
-  SpeculationGovernor governor_;
-  SpeculationOracle oracle_;
-  PlanCache* plan_cache_ = nullptr;  // not owned; null outside service mode
-  int64_t task_seq_ = 0;
-
-  // Driver-side sink for phase spans (null when tracing is off).
-  TraceSink* DriverSink() const { return trace_ != nullptr ? trace_->driver() : nullptr; }
-
-  bool ShouldSpeculateFor(uint64_t signature_hash) const {
-    if (!governor_.ShouldSpeculate()) {
-      return false;
-    }
-    if (oracle_.should_speculate != nullptr && !oracle_.should_speculate(signature_hash)) {
-      return false;
-    }
-    return true;
-  }
-
-  void ObserveSpeculation(uint64_t signature_hash, int tasks, int aborts_delta) {
-    if (governor_.Observe(tasks, aborts_delta)) {
-      stats_.governor_flips += 1;
-    }
-    if (oracle_.observe != nullptr) {
-      oracle_.observe(signature_hash, tasks, aborts_delta);
-    }
-  }
+  // The Hadoop-specific knobs of HadoopConfig (the engine knobs live in the
+  // core's config_).
+  const int num_reducers_;
+  const size_t sort_buffer_bytes_;
+  const bool yak_epochs_;
 };
 
 }  // namespace gerenuk

@@ -160,8 +160,9 @@ void EngineService::BuildSlotEngines(EngineSlot* slot, int index) {
   slot->hadoop.reset();
   slot->spark = std::make_unique<SparkEngine>(pooled_config_);
   slot->hadoop = std::make_unique<HadoopEngine>(pooled_hadoop_config_);
-  slot->spark->set_plan_cache(&slot->spark_cache);
-  slot->hadoop->set_plan_cache(&slot->hadoop_cache);
+  for (auto [engine, cache] : slot->engines()) {
+    engine->set_plan_cache(cache);
+  }
   slot->ctx.spark = slot->spark.get();
   slot->ctx.hadoop = slot->hadoop.get();
   slot->ctx.slot = index;
@@ -281,13 +282,11 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
 
   // Per-job scoping: metrics (and the merged trace, when tracing) restart
   // from zero so the snapshot after the body is this job's delta.
-  slot->spark->ResetMetrics();
-  slot->hadoop->ResetMetrics();
-  if (slot->spark->trace() != nullptr) {
-    slot->spark->trace()->ResetMerged();
-  }
-  if (slot->hadoop->trace() != nullptr) {
-    slot->hadoop->trace()->ResetMerged();
+  for (auto [engine, cache] : slot->engines()) {
+    engine->ResetMetrics();
+    if (engine->trace() != nullptr) {
+      engine->trace()->ResetMerged();
+    }
   }
   InstallOracle(slot, job->tenant);
 
@@ -304,8 +303,9 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
     }
     return CancelCause::kNone;
   };
-  slot->spark->set_cancel_check(check);
-  slot->hadoop->set_cancel_check(check);
+  for (auto [engine, cache] : slot->engines()) {
+    engine->set_cancel_check(check);
+  }
 
   std::string output;
   std::string error;
@@ -330,8 +330,9 @@ void EngineService::RunOne(EngineSlot* slot, QueuedJob* job) {
       error = "job body threw a non-exception value";
     }
   }
-  slot->spark->set_cancel_check(nullptr);
-  slot->hadoop->set_cancel_check(nullptr);
+  for (auto [engine, cache] : slot->engines()) {
+    engine->set_cancel_check(nullptr);
+  }
   const auto finished = std::chrono::steady_clock::now();
 
   EngineStats stats = slot->spark->stats();
@@ -454,8 +455,9 @@ void EngineService::InstallOracle(EngineSlot* slot, const std::string& tenant) {
   oracle.observe = [this, tenant](uint64_t signature_hash, int tasks, int aborts) {
     TenantObserve(tenant, signature_hash, tasks, aborts);
   };
-  slot->spark->set_speculation_oracle(oracle);
-  slot->hadoop->set_speculation_oracle(std::move(oracle));
+  for (auto [engine, cache] : slot->engines()) {
+    engine->set_speculation_oracle(oracle);
+  }
 }
 
 bool EngineService::TenantShouldSpeculate(const std::string& tenant,

@@ -35,6 +35,7 @@
 #ifndef SRC_SERVICE_ENGINE_SERVICE_H_
 #define SRC_SERVICE_ENGINE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -179,6 +180,10 @@ class EngineService {
     PlanCache hadoop_cache;
     std::unique_ptr<SparkEngine> spark;
     std::unique_ptr<HadoopEngine> hadoop;
+    // Both engines through their shared core, each with its own cache.
+    std::array<std::pair<EngineCore*, PlanCache*>, 2> engines() {
+      return {{{spark.get(), &spark_cache}, {hadoop.get(), &hadoop_cache}}};
+    }
     EngineContext ctx;
     std::thread dispatcher;
     // Breaker state. `state` is atomic only so metrics snapshots from other

@@ -91,28 +91,28 @@ TEST(ProgramSignatureTest, BroadcastShapeChangesSignature) {
 
 TEST(ProgramSignatureTest, VecConfigChangesSignature) {
   // Plans compiled under different vectorization configs are different
-  // machine code (vec opcodes, batch geometry, bail knob): each VecSignature
+  // machine code (vec opcodes, batch geometry, bail knob): each PlanOptions
   // field must change the canonical text so cache hits never cross configs.
   SparkJob job(SparkWith(1));
-  auto sig = [&](const VecSignature& vec) {
+  auto sig = [&](const PlanOptions& vec) {
     return ComputeProgramSignature(EngineMode::kGerenuk, job.engine.layouts(), job.udfs,
                                    {job.pair}, vec);
   };
-  ProgramSignature def = sig(VecSignature());
-  // The defaulted parameter must mean exactly the default VecSignature.
+  ProgramSignature def = sig(PlanOptions());
+  // The defaulted parameter must mean exactly the default PlanOptions.
   ProgramSignature implicit =
       ComputeProgramSignature(EngineMode::kGerenuk, job.engine.layouts(), job.udfs, {job.pair});
   EXPECT_EQ(def.text, implicit.text);
   EXPECT_EQ(def.hash, implicit.hash);
   EXPECT_NE(def.text.find("vec=on"), std::string::npos);
 
-  VecSignature off;
+  PlanOptions off;
   off.vectorize = false;
-  VecSignature batch;
+  PlanOptions batch;
   batch.vector_batch_size = 64;
-  VecSignature bail;
+  PlanOptions bail;
   bail.vec_bail_after_strips = 2;
-  for (const VecSignature& other : {off, batch, bail}) {
+  for (const PlanOptions& other : {off, batch, bail}) {
     ProgramSignature s = sig(other);
     EXPECT_NE(s.text, def.text);
     EXPECT_NE(s.hash, def.hash);
@@ -208,6 +208,34 @@ TEST(PlanCacheEngineTest, ReduceByKeyReusesEveryCompiledProgram) {
   const PlanCache::Stats after_second = cache.stats();
   EXPECT_EQ(after_second.misses, after_first.misses) << "repeat job must not recompile";
   EXPECT_EQ(after_second.hits, after_first.misses) << "every compiled program must hit";
+  EXPECT_EQ(DatasetBytes(first), DatasetBytes(second));
+}
+
+// The Hadoop engine shares Spark's compile-and-cache pipeline: a repeat
+// combiner job compiles nothing, hits the cache once per compiled program
+// (map stage, key, reduce, combiner) and writes the same bytes. The combiner
+// is the reduce function, so even the first job compiles it only once.
+TEST(PlanCacheEngineTest, HadoopRepeatJobReusesEveryCompiledProgram) {
+  HadoopJob job(HadoopWith(2));
+  PlanCache cache;
+  job.engine.set_plan_cache(&cache);
+  DatasetPtr in = job.MakeInput(300);
+  auto run = [&] {
+    job.engine.ResetMetrics();
+    return job.engine.RunJob(in, job.udfs, job.explode, job.pair, KeySpec{job.get_key, false},
+                             job.sum_values, job.sum_values);
+  };
+  DatasetPtr first = run();
+  const EngineStats first_stats = job.engine.stats();
+  EXPECT_EQ(first_stats.stages_compiled, 1);
+  EXPECT_EQ(first_stats.plans_compiled, 3);
+  EXPECT_EQ(first_stats.plan_cache_hits, 1) << "the combiner reuses the reduce plan";
+  DatasetPtr second = run();
+  const EngineStats& second_stats = job.engine.stats();
+  EXPECT_EQ(second_stats.stages_compiled, 1);
+  EXPECT_EQ(second_stats.plans_compiled, 0) << "repeat job must not recompile";
+  EXPECT_EQ(second_stats.plan_cache_hits, 4) << "map stage, key, reduce and combiner must hit";
+  EXPECT_GT(second_stats.combine_calls, 0);
   EXPECT_EQ(DatasetBytes(first), DatasetBytes(second));
 }
 
