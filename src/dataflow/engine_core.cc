@@ -149,7 +149,8 @@ StagePrograms EngineCore::CompileStage(const Klass* in_klass, const SerProgram& 
   if (mode() == EngineMode::kGerenuk) {
     stats_.stages_compiled += 1;
   }
-  LowerAndCache(stage.signature, stage.cache_hit, stage.transformed, nullptr, &stage.plan);
+  LowerAndCache(stage.signature, stage.cache_hit, stage.transformed, nullptr, nullptr,
+                &stage.plan);
   return stage;
 }
 
@@ -158,13 +159,14 @@ CompiledFunction EngineCore::CompileFn(const SerProgram& udfs, const Function* f
       CompileSingleFunction(mode(), layouts_, udfs, fn, &stats_.transform, ActivePlanCache(),
                             PlanOptionsOf(config_.execution));
   LowerAndCache(compiled.signature, compiled.cache_hit, compiled.transformed, compiled.fast_fn,
-                &compiled.plan);
+                compiled.acc_fn, &compiled.plan);
   return compiled;
 }
 
 void EngineCore::LowerAndCache(const ProgramSignature& signature, bool cache_hit,
                                const std::shared_ptr<const SerProgram>& transformed,
-                               const Function* fast_fn, std::shared_ptr<const SerPlan>* plan) {
+                               const Function* fast_fn, const Function* acc_fn,
+                               std::shared_ptr<const SerPlan>* plan) {
   if (cache_hit) {
     stats_.plan_cache_hits += 1;
     return;
@@ -179,7 +181,7 @@ void EngineCore::LowerAndCache(const ProgramSignature& signature, bool cache_hit
   *plan = CompilePlan(*transformed, layouts_, PlanOptionsOf(config_.execution));
   stats_.plans_compiled += 1;
   if (PlanCache* cache = ActivePlanCache(); cache != nullptr) {
-    cache->Insert(signature, {transformed, *plan, fast_fn, 0});
+    cache->Insert(signature, {transformed, *plan, fast_fn, acc_fn, 0});
   }
 }
 

@@ -112,7 +112,9 @@ class EngineCore {
   // `broadcast_klass` means the stage takes no broadcast argument.
   StagePrograms CompileStage(const Klass* in_klass, const SerProgram& udfs,
                              const std::vector<NarrowOp>& ops, const Klass* broadcast_klass);
-  // Same pipeline for one self-contained key/reduce/combine function.
+  // Same pipeline for one self-contained key/reduce/combine function; a
+  // reduce that qualifies also gets its accumulate form (acc_fn), compiled
+  // into the same plan and cached in the same entry.
   CompiledFunction CompileFn(const SerProgram& udfs, const Function* fn);
 
   // Reserves `n` driver-assigned task ordinals (for the fault plan) and
@@ -179,7 +181,7 @@ class EngineCore {
   // transformed program to a SerPlan and publishes it under `signature`.
   void LowerAndCache(const ProgramSignature& signature, bool cache_hit,
                      const std::shared_ptr<const SerProgram>& transformed, const Function* fast_fn,
-                     std::shared_ptr<const SerPlan>* plan);
+                     const Function* acc_fn, std::shared_ptr<const SerPlan>* plan);
 };
 
 }  // namespace gerenuk

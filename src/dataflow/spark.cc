@@ -1,5 +1,6 @@
 #include "src/dataflow/spark.h"
 
+#include <deque>
 #include <string>
 #include <unordered_map>
 
@@ -279,6 +280,9 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
   }
   const int64_t base = ClaimTaskOrdinals(parts);
   const bool speculate = ShouldSpeculateFor(stage.signature.hash);
+  // Governor-degraded tasks never fold. A reduce with an accumulate form
+  // folds at emit time; any other reduce combines the committed buckets.
+  const bool fold_at_emit = speculate && combine_fn != nullptr && combine_fn->acc_fn != nullptr;
   const int aborts_before = stats_.aborts;
   ShuffleKeyHash hasher;
   const StageCodec codec = BucketRowCodec(buckets, &memory_);
@@ -299,10 +303,25 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
         if (key_fn.plan != nullptr) {
           io.extra_plans.push_back(key_fn.plan.get());
         }
+        // Emit-time fold: one keyed table per bucket, fed by the map
+        // runner's emits, so a record is never rendered into its bucket and
+        // read back. Slow-path emits fold through their own fold runner.
+        std::deque<KeyedNativeFold> tables;
+        BuilderStore slow_builders(layouts_);
+        std::unique_ptr<SerRunner> slow_runner;
+        if (fold_at_emit) {
+          for (size_t b = 0; b < task_buckets.size(); ++b) {
+            tables.emplace_back(combine_fn->fast_fn, combine_fn->acc_fn, stage.out_klass,
+                                &memory_);
+          }
+          if (combine_fn->plan != nullptr) {
+            io.extra_plans.push_back(combine_fn->plan.get());
+          }
+        }
         // Per-task scratch key: the string buffer survives across records,
         // so steady-state extractions allocate nothing.
         auto scratch = std::make_shared<ShuffleKeyValue>();
-        io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
+        io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, &tables, scratch](
                              int64_t addr, const Klass* klass, SerRunner& runner,
                              BuilderStore& builders) {
           // Key extraction runs the transformed key function directly over
@@ -312,12 +331,15 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
             ctx.stats().key_allocs_saved += 1;
           }
           size_t b = hasher(*scratch) % task_buckets.size();
+          if (!tables.empty()) {
+            tables[b].AddEmitted(runner, builders, *scratch, addr, klass);
+            return;
+          }
           int64_t before = task_buckets[b].bytes_used();
           builders.Render(addr, klass, task_buckets[b]);
           ctx.stats().shuffle_bytes += task_buckets[b].bytes_used() - before;
         };
-        io.emit_heap = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
-                           ObjRef ref, const Klass* klass, SerRunner& runner) {
+        io.emit_heap = [&](ObjRef ref, const Klass* klass, SerRunner& runner) {
           if (EvalShuffleKeyInto(runner, key_fn.orig_fn, Value::Ref(static_cast<int64_t>(ref)),
                                  key.is_string, scratch.get())) {
             ctx.stats().key_allocs_saved += 1;
@@ -328,16 +350,33 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
           ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
           ByteBuffer body;
           ctx.serde().WriteRecord(ref, klass, body);
+          if (!tables.empty()) {
+            if (slow_runner == nullptr) {
+              slow_runner = MakeFastRunner(combine_fn->plan.get(), *combine_fn->transformed,
+                                           ctx.heap(), ctx.wk(), &layouts_, &slow_builders);
+            }
+            tables[b].AddEmitted(*slow_runner, slow_builders, k,
+                                 reinterpret_cast<int64_t>(body.data() + 4), klass);
+            return;
+          }
           task_buckets[b].AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
           ctx.stats().shuffle_bytes += static_cast<int64_t>(body.size());
         };
-        io.on_abort = [&task_buckets] {
+        io.on_abort = [&task_buckets, &tables] {
           for (NativePartition& bucket : task_buckets) {
             bucket.Release();
           }
+          for (KeyedNativeFold& table : tables) {
+            table.Clear();
+          }
         };
         RunTask(exec, io, ctx, speculate);
-        if (combine_fn != nullptr && speculate) {
+        for (size_t b = 0; b < tables.size(); ++b) {
+          tables[b].EmitTo(task_buckets[b]);
+          ctx.stats().combine_calls += tables[b].folds();
+          ctx.stats().shuffle_bytes += task_buckets[b].bytes_used();
+        }
+        if (speculate && combine_fn != nullptr && !fold_at_emit) {
           CombineMapOutput(ctx, key, key_fn, *combine_fn, stage.out_klass, &task_buckets);
         }
         for (NativePartition& bucket : task_buckets) {
@@ -354,11 +393,12 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
   }
 }
 
-// Map-side combine: folds each committed bucket by key with the compiled
-// reduce function, in emit order, leaving one record per key in first-seen
-// key order. A bucket is replaced only once its fold finished, so an abort
-// leaves it — and, to keep the rule simple, every later bucket — exactly as
-// the map task committed it; the reduce stage folds whatever arrives.
+// Map-side combine for a reduce with no accumulate form: folds each
+// committed bucket by key with the compiled reduce function, in emit order,
+// leaving one record per key in first-seen key order. A bucket is replaced
+// only once its fold finished, so an abort leaves it — and, to keep the rule
+// simple, every later bucket — exactly as the map task committed it; the
+// reduce stage folds whatever arrives.
 void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
                                    const CompiledFn& key_fn, const CompiledFn& reduce_fn,
                                    const Klass* rec_klass,
@@ -370,12 +410,17 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
   std::unique_ptr<SerRunner> runner =
       MakeFastRunner(reduce_fn.plan.get(), *reduce_fn.transformed, ctx.heap(), ctx.wk(),
                      &layouts_, &builders, {key_fn.plan.get()});
+  ShuffleKeyValue scratch;
   for (NativePartition& bucket : *buckets) {
-    KeyedNativeFold fold(*runner, builders, key_fn.fast_fn, key.is_string, reduce_fn.fast_fn,
-                         rec_klass, &memory_);
+    KeyedNativeFold fold(reduce_fn.fast_fn, nullptr, rec_klass, &memory_);
     try {
       for (size_t r = 0; r < bucket.record_count(); ++r) {
-        fold.Add(bucket.record_addr(r), bucket.record_size(r));
+        const int64_t addr = bucket.record_addr(r);
+        if (EvalShuffleKeyInto(*runner, key_fn.fast_fn, Value::Addr(addr), key.is_string,
+                               &scratch)) {
+          ctx.stats().key_allocs_saved += 1;
+        }
+        fold.Add(*runner, builders, scratch, addr, bucket.record_size(r));
       }
     } catch (const SerAbort& abort) {
       // Not an EngineStats abort: the map output already committed, and the
@@ -386,7 +431,6 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
       }
       return;
     }
-    ctx.stats().key_allocs_saved += fold.key_allocs_saved();
     if (fold.folds() == 0) {
       continue;  // every key distinct: the bucket is already its own combine
     }
@@ -502,14 +546,19 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
               reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
               &builders, {key_c.plan.get()});
           ComputePhaseScope compute(ctx.stats().times);
-          KeyedNativeFold fold(*reduce_runner, builders, key_c.fast_fn, key.is_string,
-                               reduce_c.fast_fn, rec_klass, &memory_);
+          KeyedNativeFold fold(reduce_c.fast_fn, reduce_c.acc_fn, rec_klass, &memory_);
+          ShuffleKeyValue scratch;
           // Unfolded keys still point into the bucket's fetched blocks, so
           // the bucket stays open until they are emitted.
           const BucketReader bucket = shuffle.OpenBucket(p, &ctx.stats(), sink);
-          bucket.ForEachRecord([&fold](int64_t addr, uint32_t size) { fold.Add(addr, size); });
+          bucket.ForEachRecord([&](int64_t addr, uint32_t size) {
+            if (EvalShuffleKeyInto(*reduce_runner, key_c.fast_fn, Value::Addr(addr),
+                                   key.is_string, &scratch)) {
+              ctx.stats().key_allocs_saved += 1;
+            }
+            fold.Add(*reduce_runner, builders, scratch, addr, size);
+          });
           fold.EmitTo(out_part);
-          ctx.stats().key_allocs_saved += fold.key_allocs_saved();
           ctx.stats().fast_path_commits += 1;
           if (sink != nullptr) {
             sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);

@@ -6,6 +6,7 @@
 #include "src/analysis/ser_analyzer.h"
 #include "src/ir/builder.h"
 #include "src/support/fnv.h"
+#include "src/transform/accumulate.h"
 
 namespace gerenuk {
 
@@ -166,11 +167,14 @@ CompiledFunction CompileSingleFunction(EngineMode mode, const DataStructAnalyzer
       compiled.transformed = hit.transformed;
       compiled.plan = hit.plan;
       compiled.fast_fn = hit.fast_fn;
+      compiled.acc_fn = hit.acc_fn;
       compiled.cache_hit = true;
     } else {
       std::unique_ptr<SerProgram> transformed =
           CompileSerProgram(*compiled.original, layouts, stats);
       compiled.fast_fn = transformed->function(id);
+      compiled.acc_fn = DeriveAccumulateForm(*compiled.orig_fn, *compiled.fast_fn, layouts,
+                                             transformed.get());
       compiled.transformed = std::move(transformed);
     }
   }

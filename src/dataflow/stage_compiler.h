@@ -77,6 +77,9 @@ struct CompiledFunction {
   std::shared_ptr<const SerPlan> plan;  // over `transformed`, may be null
   const Function* orig_fn = nullptr;
   const Function* fast_fn = nullptr;  // kGerenuk only
+  // fast_fn's accumulate form (src/transform/accumulate.h), in `transformed`
+  // and compiled into `plan`; null when the function does not qualify.
+  const Function* acc_fn = nullptr;
   ProgramSignature signature;
   bool cache_hit = false;
 };

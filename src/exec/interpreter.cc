@@ -108,9 +108,9 @@ Value Interpreter::Execute(Frame& frame) {
           int64_t x = a.i;
           int64_t y = b.i;
           switch (s.binop) {
-            case BinOpKind::kAdd: slots[s.dst] = Value::I64(x + y); break;
-            case BinOpKind::kSub: slots[s.dst] = Value::I64(x - y); break;
-            case BinOpKind::kMul: slots[s.dst] = Value::I64(x * y); break;
+            case BinOpKind::kAdd: slots[s.dst] = Value::I64(WrapAdd(x, y)); break;
+            case BinOpKind::kSub: slots[s.dst] = Value::I64(WrapSub(x, y)); break;
+            case BinOpKind::kMul: slots[s.dst] = Value::I64(WrapMul(x, y)); break;
             case BinOpKind::kDiv:
               GERENUK_CHECK_NE(y, 0);
               slots[s.dst] = Value::I64(x / y);
@@ -140,7 +140,7 @@ Value Interpreter::Execute(Frame& frame) {
         switch (s.unop) {
           case UnOpKind::kNeg:
             slots[s.dst] = slots[s.a].tag == ValueTag::kF64 ? Value::F64(-slots[s.a].d)
-                                                            : Value::I64(-slots[s.a].i);
+                                                            : Value::I64(WrapSub(0, slots[s.a].i));
             break;
           case UnOpKind::kNot:
             slots[s.dst] = Value::Bool(!slots[s.a].AsBool());
@@ -462,6 +462,29 @@ Value Interpreter::Execute(Frame& frame) {
       }
       case Op::kAbort:
         throw SerAbort{s.abort_reason, "static abort fence reached in " + func.name};
+
+      // ---- owned-accumulator writes (accumulate forms only; the caller
+      // guarantees `a` is committed-format bytes it owns) ----
+      case Op::kWriteOwned: {
+        int64_t addr = slots[s.a].i;
+        int64_t off = s.expr_is_const ? s.expr_const_offset
+                                      : ResolveOffset(layouts_->pool(), s.expr_id, addr);
+        if (s.elem_kind == FieldKind::kF32 || s.elem_kind == FieldKind::kF64) {
+          NativeWriteFloat(addr, off, s.elem_kind, as_f(s.b));
+        } else {
+          NativeWriteInt(addr, off, s.elem_kind, as_i(s.b));
+        }
+        break;
+      }
+      case Op::kNativeArrayStoreOwned: {
+        int64_t off = 4 + as_i(s.b) * FieldKindSize(s.elem_kind);
+        if (s.elem_kind == FieldKind::kF32 || s.elem_kind == FieldKind::kF64) {
+          NativeWriteFloat(slots[s.a].i, off, s.elem_kind, as_f(s.c));
+        } else {
+          NativeWriteInt(slots[s.a].i, off, s.elem_kind, as_i(s.c));
+        }
+        break;
+      }
     }
     ++pc;
   }

@@ -50,6 +50,7 @@ class PlanCache {
     std::shared_ptr<const SerProgram> transformed;
     std::shared_ptr<const SerPlan> plan;       // may be null (plan compiler off)
     const Function* fast_fn = nullptr;         // single-function entries only
+    const Function* acc_fn = nullptr;          // fast_fn's accumulate form, if any
     size_t bytes = 0;                          // filled by Insert
   };
 

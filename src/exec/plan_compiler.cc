@@ -728,6 +728,8 @@ class PlanBuilder {
     std::vector<std::pair<int32_t, int32_t>> col_wb;   // (slot, col)
     std::vector<std::pair<int32_t, int32_t>> scan_wb;  // (slot, scan idx)
     std::vector<int32_t> load_bases;
+    // Element gathers at the induction index: (base slot, index into `body`).
+    std::vector<std::pair<int32_t, size_t>> own_lane_gathers;
     std::vector<size_t> store_positions;  // indices into `body`
     std::vector<PlanOp> body;
     std::string why;
@@ -856,12 +858,16 @@ class PlanBuilder {
             v.b = iref;
             v.d = imode;
             v.c = 0;
+            if (imode == 0 && iref == kIndCol) {
+              own_lane_gathers.emplace_back(s.a, body.size());
+            }
           }
           load_bases.push_back(s.a);
           v.dst = def_col(s.dst, true);
           break;
         }
-        case PlanOpCode::kNativeArrayStore: {
+        case PlanOpCode::kNativeArrayStore:
+        case PlanOpCode::kNativeArrayStoreOwned: {
           if (s.a < 0 || written[static_cast<size_t>(s.a)]) {
             return fail("scatter-base-not-invariant");
           }
@@ -875,6 +881,7 @@ class PlanBuilder {
           v.b = iref;
           v.c = vref;
           v.d = vmode;
+          v.imm = s.code == PlanOpCode::kNativeArrayStoreOwned ? 1 : 0;  // owned accumulator
           store_positions.push_back(body.size());
           break;
         }
@@ -907,18 +914,29 @@ class PlanBuilder {
     // Deferred scatters demand that no lane can observe this strip's stores:
     // every gathered base must be a provably different array. Statically
     // distinct slots get a runtime address guard; an identical slot is a
-    // certain alias.
+    // certain alias — except for an accumulate form's in-place update, a
+    // single owned scatter a[i] = e whose base is gathered only as a[i]
+    // before it: each lane then reads just its own element, before the
+    // scalar loop would have overwritten it.
     if (!store_positions.empty() && !load_bases.empty()) {
       std::sort(load_bases.begin(), load_bases.end());
       load_bases.erase(std::unique(load_bases.begin(), load_bases.end()), load_bases.end());
       for (size_t sp : store_positions) {
         int32_t sbase = body[sp].a;
+        const bool in_place = body[sp].imm == 1 && body[sp].b == kIndCol &&
+                              store_positions.size() == 1 && InPlaceGathers(body, sbase, sp,
+                                                                            own_lane_gathers);
+        std::vector<int32_t> guards;
         for (int32_t lb : load_bases) {
-          if (lb == sbase) return fail("scatter-gather-alias");
+          if (lb != sbase) {
+            guards.push_back(lb);
+          } else if (!in_place) {
+            return fail("scatter-gather-alias");
+          }
         }
         body[sp].args_off = static_cast<int32_t>(out->args_pool.size());
-        body[sp].args_len = static_cast<int32_t>(load_bases.size());
-        for (int32_t lb : load_bases) {
+        body[sp].args_len = static_cast<int32_t>(guards.size());
+        for (int32_t lb : guards) {
           out->args_pool.push_back(lb);
         }
       }
@@ -967,6 +985,27 @@ class PlanBuilder {
     end.args_len = static_cast<int32_t>(out->args_pool.size()) - end.args_off;
     vec.push_back(end);
     return vec;
+  }
+
+  // True when every read of `base` in the vec body is a length broadcast or
+  // an element gather at the induction index placed before the scatter at
+  // `store_at`.
+  static bool InPlaceGathers(const std::vector<PlanOp>& body, int32_t base, size_t store_at,
+                             const std::vector<std::pair<int32_t, size_t>>& own_lane_gathers) {
+    for (size_t p = 0; p < body.size(); ++p) {
+      const PlanOp& v = body[p];
+      if (v.code != PlanOpCode::kVecReadCol || v.a != base || v.c == 1) {
+        continue;
+      }
+      bool own_lane = false;
+      for (const auto& [b, at] : own_lane_gathers) {
+        own_lane = own_lane || (b == base && at == p);
+      }
+      if (!own_lane || p > store_at) {
+        return false;
+      }
+    }
+    return true;
   }
 
   static bool TryFuse(const PlanOp& x, const PlanOp& y, PlanOp* out) {
@@ -1207,6 +1246,17 @@ class PlanBuilder {
       case Op::kAbort:
         op.code = PlanOpCode::kAbort;
         break;
+      case Op::kWriteOwned:
+        op.code = PlanOpCode::kWriteOwned;
+        op.kind = s.elem_kind;
+        if (LowerOffset(s, &op)) {
+          op.expr_id = -1;  // constant offset: the handler reads imm
+        }
+        break;
+      case Op::kNativeArrayStoreOwned:
+        op.code = PlanOpCode::kNativeArrayStoreOwned;
+        op.kind = s.elem_kind;
+        break;
     }
     op.float_kind = op.kind == FieldKind::kF32 || op.kind == FieldKind::kF64;
     ops->push_back(op);
@@ -1266,6 +1316,8 @@ const char* PlanOpName(PlanOpCode code) {
     case PlanOpCode::kAttachField: return "attachfield";
     case PlanOpCode::kAttachElement: return "attachelement";
     case PlanOpCode::kAbort: return "abort";
+    case PlanOpCode::kWriteOwned: return "writeowned";
+    case PlanOpCode::kNativeArrayStoreOwned: return "narraystoreowned";
     case PlanOpCode::kBinOpBranch: return "binop+branch";
     case PlanOpCode::kNotBranch: return "not+branch";
     case PlanOpCode::kBinOpJump: return "binop+jump";

@@ -41,6 +41,8 @@ const char* OpName(Op op) {
     case Op::kAttachElement: return "attachElement";
     case Op::kNativeArrayElemAddr: return "nativeArrayElemAddr";
     case Op::kAbort: return "abort";
+    case Op::kWriteOwned: return "writeOwned";
+    case Op::kNativeArrayStoreOwned: return "nativeStoreOwned";
   }
   return "?";
 }
@@ -291,6 +293,14 @@ std::string PrintFunction(const Function& func) {
         break;
       case Op::kAbort:
         out << "ABORT(" << AbortReasonName(s.abort_reason) << ")";
+        break;
+      case Op::kWriteOwned:
+        out << "writeOwned(" << VarName(func, s.a) << ", expr#" << s.expr_id << ", "
+            << FieldKindName(s.elem_kind) << ", " << VarName(func, s.b) << ")";
+        break;
+      case Op::kNativeArrayStoreOwned:
+        out << "nativeStoreOwned(" << VarName(func, s.a) << "[" << VarName(func, s.b) << "], "
+            << FieldKindName(s.elem_kind) << ", " << VarName(func, s.c) << ")";
         break;
     }
     out << "\n";

@@ -105,6 +105,14 @@ enum class Op : uint8_t {
   kAttachElement,       // a[b] := sub-record c              (construction write)
   kNativeArrayElemAddr, // dst = address of record element a[b]
   kAbort,               // abort the SER                     (case 7)
+
+  // --- owned-accumulator writes (emitted only by DeriveAccumulateForm) ---
+  // In-place stores into a committed-format record the engine owns (a fold
+  // accumulator in its scratch region), never into input bytes: the
+  // transformer never emits them, so user code keeps the committed-record
+  // write refusal of kWriteNative / kNativeArrayStore.
+  kWriteOwned,            // writeOwned(a, expr, kind, b)   prim field of a
+  kNativeArrayStoreOwned, // a.data[b] = c                  prim array element
 };
 
 const char* OpName(Op op);
@@ -117,6 +125,20 @@ enum class BinOpKind : uint8_t {
 };
 
 enum class UnOpKind : uint8_t { kNeg, kNot, kI2F, kF2I };
+
+// Integer add/sub/mul/neg wrap around in two's complement, like the JVM
+// long arithmetic the paper's programs are written in. Going through
+// uint64_t gives the same bits without C++'s signed-overflow UB, so every
+// runner agrees on (and the ubsan build accepts) overflowing sums.
+inline int64_t WrapAdd(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) + static_cast<uint64_t>(y));
+}
+inline int64_t WrapSub(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) - static_cast<uint64_t>(y));
+}
+inline int64_t WrapMul(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) * static_cast<uint64_t>(y));
+}
 
 // Why an abort was inserted — the paper's four violation conditions plus the
 // forced-abort hook used by the Fig. 10(b) experiment.

@@ -319,8 +319,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                 combiner_fn != nullptr ? combine_c.plan.get() : key_c.plan.get(),
                 combiner_fn != nullptr ? *combine_c.transformed : *key_c.transformed,
                 ctx.heap(), ctx.wk(), &layouts_, &builders);
-            NativeFolder folder(*combine_runner, builders, combine_c.fast_fn, out_klass,
-                                region.get());
+            NativeFolder folder(combine_c.fast_fn, combine_c.acc_fn, out_klass, region.get());
             size_t i = 0;
             while (i < entries.size()) {
               size_t j = i + 1;
@@ -338,17 +337,19 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                   FoldAcc acc{entries[i].addr, entries[i].size, false};
                   for (size_t r = i + 1; r < j; ++r) {
                     ctx.stats().combine_calls += 1;
-                    folder.Fold(&acc, entries[r].addr);
+                    folder.Fold(*combine_runner, builders, &acc, entries[r].addr);
                   }
                   segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
                   out.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
                   combined = true;
                 } catch (const SerAbort& abort) {
+                  // Not an EngineStats abort: the map output already
+                  // committed, and the speculation governor must not see a
+                  // failed optimization as one.
                   if (ctx.trace_sink() != nullptr) {
-                    ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
+                    ctx.trace_sink()->Instant(TraceEventType::kCombineAbort, "combine_abort",
                                               static_cast<int64_t>(abort.reason));
                   }
-                  ctx.stats().aborts += 1;
                   skip_combiner = true;  // keep correctness, drop the optimization
                 }
               }
@@ -567,9 +568,13 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
             &builders);
         NativePartition scratch(&memory_);
-        NativeFolder folder(*reduce_runner, builders, reduce_c.fast_fn, out_klass, &scratch);
+        NativeFolder folder(reduce_c.fast_fn, reduce_c.acc_fn, out_klass, &scratch);
         Interpreter slow_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
         ComputePhaseScope compute(ctx.stats().times);
+        // Fold runs sit inside fast_path spans, closed around each aborted
+        // group's slow_path span so the two never overlap.
+        TraceSink* sink = ctx.trace_sink();
+        int64_t fast_start = (reduce_speculate && sink != nullptr) ? sink->Now() : -1;
         size_t i = 0;
         while (i < refs.size()) {
           size_t j = i + 1;
@@ -586,20 +591,20 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           if (reduce_speculate) try {
             FoldAcc acc{addr_of(refs[i]), size_of(refs[i]), false};
             for (size_t v = i + 1; v < j; ++v) {
-              folder.Fold(&acc, addr_of(refs[v]));
+              folder.Fold(*reduce_runner, builders, &acc, addr_of(refs[v]));
             }
             out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
           } catch (const SerAbort& abort) {
             // Re-execute this group on the slow path, inside the same worker.
-            if (ctx.trace_sink() != nullptr) {
-              ctx.trace_sink()->Instant(TraceEventType::kAbort, "abort",
-                                        static_cast<int64_t>(abort.reason));
+            if (sink != nullptr) {
+              sink->Instant(TraceEventType::kAbort, "abort", static_cast<int64_t>(abort.reason));
+              sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
             }
             ctx.stats().aborts += 1;
             fast_ok = false;
           }
           if (!fast_ok) {
-            TraceSpan slow_span(ctx.trace_sink(), TraceEventType::kSlowPath, "slow_path",
+            TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path",
                                 reduce_speculate ? 0 : 1);
             builders.Clear();
             RootScope scope(ctx.heap());
@@ -623,7 +628,13 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             ctx.serde().WriteRecord(scope.Get(acc), out_klass, record);
             out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
           }
+          if (!fast_ok && reduce_speculate && sink != nullptr) {
+            fast_start = sink->Now();  // the next group's fold run
+          }
           i = j;
+        }
+        if (reduce_speculate && sink != nullptr) {
+          sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
         }
         if (!reduce_speculate) {
           ctx.stats().slow_path_direct += 1;

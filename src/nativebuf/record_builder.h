@@ -90,6 +90,13 @@ class BuilderStore {
   // Recycles every node (capacity retained — builders churn once per record
   // on the hot path, so the slot vectors must not be reallocated each time).
   void Clear() { active_ = 0; }
+  // Recycles only the nodes allocated since size() returned `mark`, so a
+  // call made in the middle of a record (a fold at emit time) leaves the
+  // caller's nodes live.
+  void Truncate(size_t mark) {
+    GERENUK_CHECK_LE(mark, active_);
+    active_ = mark;
+  }
 
  private:
   struct Slot {

@@ -2,6 +2,16 @@
 
 namespace gerenuk {
 
+void BindFieldSlot(const DataStructAnalyzer& layouts, Statement* s) {
+  const ClassLayout* layout = layouts.LayoutOf(s->klass);
+  GERENUK_CHECK(layout != nullptr) << "no layout for " << s->klass->name();
+  const FieldSlot& slot = layout->fields[s->field_index];
+  s->expr_id = slot.offset_expr;
+  s->expr_is_const = slot.is_constant;  // Algorithm 1's static-offset case
+  s->expr_const_offset = slot.const_offset;
+  s->elem_kind = s->klass->field(s->field_index).kind;
+}
+
 TransformResult Transformer::Run() {
   TransformResult result;
   result.transformed = std::make_unique<SerProgram>();
@@ -70,30 +80,14 @@ Statement Transformer::TransformStatement(const Statement& s, bool* transformed)
       break;
     case Op::kAssign:  // Cases 2 & 3: the variable now carries an address
       break;
-    case Op::kFieldLoad: {  // Case 5
-      const ClassLayout* layout = layouts_.LayoutOf(s.klass);
-      GERENUK_CHECK(layout != nullptr) << "no layout for " << s.klass->name();
-      const FieldInfo& field = s.klass->field(s.field_index);
-      const FieldSlot& slot = layout->fields[s.field_index];
-      out.expr_id = slot.offset_expr;
-      out.expr_is_const = slot.is_constant;  // Algorithm 1's static-offset case
-      out.expr_const_offset = slot.const_offset;
-      out.op = field.kind == FieldKind::kRef ? Op::kAddrOfField : Op::kReadNative;
-      out.elem_kind = field.kind;
+    case Op::kFieldLoad:  // Case 5
+      BindFieldSlot(layouts_, &out);
+      out.op = out.elem_kind == FieldKind::kRef ? Op::kAddrOfField : Op::kReadNative;
       break;
-    }
-    case Op::kFieldStore: {  // Case 4 (prim) / construction attach (ref)
-      const ClassLayout* layout = layouts_.LayoutOf(s.klass);
-      GERENUK_CHECK(layout != nullptr) << "no layout for " << s.klass->name();
-      const FieldInfo& field = s.klass->field(s.field_index);
-      const FieldSlot& slot = layout->fields[s.field_index];
-      out.expr_id = slot.offset_expr;
-      out.expr_is_const = slot.is_constant;
-      out.expr_const_offset = slot.const_offset;
-      out.op = field.kind == FieldKind::kRef ? Op::kAttachField : Op::kWriteNative;
-      out.elem_kind = field.kind;
+    case Op::kFieldStore:  // Case 4 (prim) / construction attach (ref)
+      BindFieldSlot(layouts_, &out);
+      out.op = out.elem_kind == FieldKind::kRef ? Op::kAttachField : Op::kWriteNative;
       break;
-    }
     case Op::kArrayLoad:
       out.op = s.elem_kind == FieldKind::kRef ? Op::kNativeArrayElemAddr : Op::kNativeArrayLoad;
       break;

@@ -35,6 +35,11 @@
 
 namespace gerenuk {
 
+// Binds the field access `*s` (klass + field_index of a laid-out klass) to
+// its slot: the offset expression, or the constant offset when Algorithm 1
+// can resolve it statically, and the field's kind as elem_kind.
+void BindFieldSlot(const DataStructAnalyzer& layouts, Statement* s);
+
 struct TransformResult {
   std::unique_ptr<SerProgram> transformed;
   TransformStats stats;

@@ -37,6 +37,7 @@ class HadoopWorkloads {
   WorkloadResult RunTfc(const DatasetPtr& text);   // word count, no combiner
 
   HadoopEngine& engine() { return engine_; }
+  const SerProgram& udfs() const { return udfs_; }
 
   const Klass* post;
   const Klass* doc;

@@ -8,6 +8,7 @@
 
 #include "src/ir/builder.h"
 #include "src/mapreduce/hadoop.h"
+#include "src/support/trace.h"
 #include "tests/pair_job.h"
 #include "tests/source_ingest.h"
 
@@ -230,6 +231,62 @@ TEST(HadoopEngineTest, CombinerPreservesResults) {
     EXPECT_GT(w.engine.stats().combine_calls, 0);
     with_combiner = w.Extract(out);
     EXPECT_EQ(with_combiner, without_combiner);
+  }
+}
+
+// A spill combiner that aborts (it stores into its input on key 3) falls
+// back to shipping the group uncombined. The map output has committed by
+// then, so the failed optimization is a combine_abort instant — not a
+// speculation abort the map stage's governor would count.
+TEST(HadoopEngineTest, CombinerAbortDoesNotFeedTheGovernor) {
+  struct Run {
+    std::vector<uint8_t> bytes;
+    EngineStats stats;
+    int combine_aborts = 0;
+  };
+  auto run = [](HadoopConfig config) {
+    // Threshold 0.5 over >= 2 tasks: the combiner aborts of the two map
+    // tasks that see key 3 would flip the governor if they counted.
+    config.engine.fault.governor_abort_threshold = 0.5;
+    config.engine.fault.governor_min_tasks = 2;
+    config.engine.observability.trace = !config.engine.execution.process_executors;
+    HadoopJob job(config);
+    const Function* poisoned = BuildPoisonedSum(&job);
+    DatasetPtr in = job.MakeInput(1000);
+    job.engine.ResetMetrics();
+    DatasetPtr out = job.engine.RunJob(in, job.udfs, job.explode, job.pair,
+                                       KeySpec{job.get_key, false}, job.sum_values, poisoned);
+    Run r{DatasetBytes(out), job.engine.stats(), 0};
+    if (job.engine.trace() != nullptr) {
+      for (const TraceEvent& ev : job.engine.trace()->events()) {
+        r.combine_aborts += ev.type == TraceEventType::kCombineAbort ? 1 : 0;
+      }
+    }
+    return r;
+  };
+
+  std::vector<uint8_t> reference;
+  for (int workers : kWorkerCounts) {
+    Run r = run(HadoopWith(workers));
+    // Key 3 reaches the odd map tasks (record i goes to task i % 4), and a
+    // task stops combining after its first abort.
+    EXPECT_EQ(r.combine_aborts, 2) << "workers=" << workers;
+    EXPECT_EQ(r.stats.aborts, 0) << "workers=" << workers;
+    EXPECT_EQ(r.stats.governor_flips, 0) << "workers=" << workers;
+    EXPECT_GT(r.stats.combine_calls, 0) << "workers=" << workers;
+    if (reference.empty()) {
+      reference = r.bytes;
+    }
+    EXPECT_EQ(r.bytes, reference) << "workers=" << workers;
+  }
+  ASSERT_EQ(reference.size(), 20u * 16u);  // keys 0..9 and 1000..1009
+  for (int workers : kWorkerCounts) {
+    HadoopConfig config = HadoopWith(workers);
+    config.engine.execution.process_executors = true;
+    Run r = run(config);
+    EXPECT_EQ(r.bytes, reference) << "executors=" << workers;
+    EXPECT_EQ(r.stats.aborts, 0) << "executors=" << workers;
+    EXPECT_EQ(r.stats.governor_flips, 0) << "executors=" << workers;
   }
 }
 

@@ -106,6 +106,28 @@ inline void BuildPairUdfs(Engine& engine, PairUdfs* out) {
     }
 }
 
+// Adds "poisoned_sum" to `udfs`: sum_values, except that folding key 3
+// first stores the sum into its left input — the in-place mutation of an
+// input record that the transformer fences with an abort. Its fast path
+// aborts on key 3; the slow path computes the same sum.
+inline const Function* BuildPoisonedSum(PairUdfs* udfs) {
+  const Klass* pair = udfs->pair;
+  Function* f = udfs->udfs.AddFunction("poisoned_sum");
+  FunctionBuilder b(f);
+  int a = b.Param("a", IrType::Ref(pair));
+  int c = b.Param("b", IrType::Ref(pair));
+  f->return_type = IrType::Ref(pair);
+  int key = b.FieldLoad(a, pair, "key");
+  int sum = b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, pair, "value"), b.FieldLoad(c, pair, "value"));
+  b.If(b.BinOp(BinOpKind::kEq, key, b.ConstI(3)), [&] { b.FieldStore(a, pair, "value", sum); });
+  int out = b.NewObject(pair);
+  b.FieldStore(out, pair, "key", key);
+  b.FieldStore(out, pair, "value", sum);
+  b.Return(out);
+  b.Done();
+  return f;
+}
+
 // Deterministic Pair input: key = i % 10, value = (i % 7) - 3.0.
 template <typename Engine>
 inline DatasetPtr MakePairInput(Engine& engine, const PairUdfs& udfs, int64_t count) {

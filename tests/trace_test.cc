@@ -474,6 +474,66 @@ TEST(TraceHadoopTest, ScrubbedLinesIdenticalAcrossWorkerCounts) {
   }
 }
 
+// Every Hadoop reduce task's folds run inside fast_path spans, closed around
+// each aborted group's slow_path span: the spans never overlap, and fast
+// plus slow never exceed the task span (no fold time lands in task_other).
+TEST(TraceHadoopTest, ReduceTaskFoldsSitInFastPathSpans) {
+  for (int workers : kWorkerCounts) {
+    HadoopConfig config = HadoopWith(workers);
+    config.engine.observability.trace = true;
+    HadoopJob job(config);
+    const Function* poisoned = BuildPoisonedSum(&job);  // key 3's group aborts
+    DatasetPtr in = job.MakeInput(300);
+    job.engine.RunJob(in, job.udfs, job.explode, job.pair, KeySpec{job.get_key, false},
+                      poisoned);
+    const std::vector<TraceEvent> events = job.engine.trace()->events();
+
+    const TraceEvent* reduce = nullptr;
+    for (const TraceEvent& ev : events) {
+      if (ev.type == TraceEventType::kStage && std::string(ev.name) == "reduce") {
+        reduce = &ev;
+      }
+    }
+    ASSERT_NE(reduce, nullptr) << "workers=" << workers;
+    auto inside = [](const TraceEvent& outer, const TraceEvent& ev) {
+      return ev.ts_ns >= outer.ts_ns && ev.ts_ns + ev.dur_ns <= outer.ts_ns + outer.dur_ns;
+    };
+    int tasks = 0;
+    int slow_spans = 0;
+    for (const TraceEvent& task : events) {
+      if (task.type != TraceEventType::kTask || !inside(*reduce, task)) {
+        continue;
+      }
+      tasks += 1;
+      std::vector<const TraceEvent*> paths;
+      for (const TraceEvent& ev : events) {
+        if ((ev.type == TraceEventType::kFastPath || ev.type == TraceEventType::kSlowPath) &&
+            ev.worker == task.worker && ev.task == task.task && ev.attempt == task.attempt &&
+            inside(task, ev)) {
+          paths.push_back(&ev);
+        }
+      }
+      std::sort(paths.begin(), paths.end(),
+                [](const TraceEvent* x, const TraceEvent* y) { return x->ts_ns < y->ts_ns; });
+      int64_t covered = 0;
+      int fast = 0;
+      for (size_t i = 0; i < paths.size(); ++i) {
+        covered += paths[i]->dur_ns;
+        fast += paths[i]->type == TraceEventType::kFastPath ? 1 : 0;
+        slow_spans += paths[i]->type == TraceEventType::kSlowPath ? 1 : 0;
+        if (i + 1 < paths.size()) {
+          EXPECT_LE(paths[i]->ts_ns + paths[i]->dur_ns, paths[i + 1]->ts_ns)
+              << "overlapping path spans in reduce task " << task.task;
+        }
+      }
+      EXPECT_GE(fast, 1) << "reduce task " << task.task << ", workers=" << workers;
+      EXPECT_LE(covered, task.dur_ns) << "reduce task " << task.task;
+    }
+    EXPECT_EQ(tasks, config.num_reducers) << "workers=" << workers;
+    EXPECT_EQ(slow_spans, 1) << "only key 3's group aborts";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Plan-op profiler: with a sampling stride set, dispatch counts and clock
 // samples accumulate into EngineStats::plan_ops — with identical dispatch
