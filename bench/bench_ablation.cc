@@ -102,11 +102,9 @@ void FusedStageDepth() {
         b.Return(out);
         b.Done();
       }
-      DatasetPtr input = engine.Source(pair, 50000, [&](int64_t i, SourceScope& s) {
-        ObjRef rec = s.heap.AllocObject(pair);
-        s.heap.SetPrim<int64_t>(rec, pair->FindField("key")->offset, i);
-        s.heap.SetPrim<double>(rec, pair->FindField("value")->offset, 0.0);
-        return rec;
+      DatasetPtr input = engine.Source(pair, 50000, [](int64_t i, RecordWriter& w) {
+        w.I64(i);
+        w.F64(0.0);
       });
       std::vector<NarrowOp> ops(static_cast<size_t>(depth), NarrowOp::Map(bump, pair));
       engine.ResetMetrics();

@@ -90,12 +90,9 @@ struct AbortSweepJob {
   }
 
   DatasetPtr MakeInput(int64_t count) {
-    const Klass* k = pair;
-    return engine.Source(pair, count, [k](int64_t i, SourceScope& s) {
-      ObjRef rec = s.heap.AllocObject(k);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 100);
-      s.heap.SetPrim<double>(rec, k->FindField("value")->offset, (i % 13) - 6.0);
-      return rec;
+    return engine.Source(pair, count, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 100);
+      w.F64((i % 13) - 6.0);
     });
   }
 };

@@ -149,12 +149,8 @@ WorkloadResult RunTungstenWordCount(SparkEngine& engine, const std::vector<std::
 
   Heap& heap = engine.heap();
   DatasetPtr input = engine.Source(
-      line, static_cast<int64_t>(lines.size()), [&](int64_t i, SourceScope& s) {
-        size_t text = s.roots.Push(s.wk.AllocString(lines[static_cast<size_t>(i)]));
-        ObjRef rec = s.heap.AllocObject(line);
-        s.heap.SetRef(rec, line->FindField("text")->offset, s.roots.Get(text));
-        return rec;
-      });
+      line, static_cast<int64_t>(lines.size()),
+      [&](int64_t i, RecordWriter& w) { w.Array(lines[static_cast<size_t>(i)]); });
   engine.ResetMetrics();
   DatasetPtr counts = engine.ReduceByKey(input, udfs, {NarrowOp::FlatMap(tokenize, hashed)},
                                          KeySpec{hash_key, false}, sum);

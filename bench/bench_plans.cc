@@ -294,11 +294,9 @@ void StageThroughput(bench::JsonWriter& json) {
       b.Return(out);
       b.Done();
     }
-    DatasetPtr input = engine.Source(pair, kRecords, [&](int64_t i, SourceScope& s) {
-      ObjRef rec = s.heap.AllocObject(pair);
-      s.heap.SetPrim<int64_t>(rec, pair->FindField("key")->offset, i % 97);
-      s.heap.SetPrim<double>(rec, pair->FindField("value")->offset, i * 0.5);
-      return rec;
+    DatasetPtr input = engine.Source(pair, kRecords, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 97);
+      w.F64(i * 0.5);
     });
     engine.RunStage(input, udfs, {NarrowOp::Map(bump, pair)});  // warmup
     engine.ResetMetrics();

@@ -54,12 +54,9 @@ struct MeasurementJob {
 
   template <typename Engine>
   DatasetPtr MakeInput(Engine& engine, int64_t records) const {
-    const Klass* k = measurement;
-    return engine.Source(k, records, [k](int64_t i, SourceScope& s) {
-      ObjRef rec = s.heap.AllocObject(k);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("sensor")->offset, i % 16);
-      s.heap.SetPrim<double>(rec, k->FindField("celsius")->offset, 20.0 + (i % 7));
-      return rec;
+    return engine.Source(measurement, records, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 16);  // sensor
+      w.F64(20.0 + (i % 7));  // celsius
     });
   }
 };

@@ -14,6 +14,7 @@
 #include "src/dataflow/stage_compiler.h"
 #include "src/exec/interpreter.h"
 #include "src/nativebuf/native_buffer.h"
+#include "src/nativebuf/record_writer.h"
 #include "src/runtime/roots.h"
 #include "src/serde/inline_serializer.h"
 
@@ -38,18 +39,12 @@ class Dataset {
 
 using DatasetPtr = std::shared_ptr<Dataset>;
 
-// What a source callback builds a record in: the heap, well-known classes
-// and root scope of the context running it — the engine's in kBaseline, the
-// running worker's in kGerenuk. A callback must be a pure function of its
-// index that only reads its captured inputs, and must allocate through
-// `heap`/`wk` alone (never a captured engine heap): in kGerenuk, tasks on
-// different workers call it concurrently.
-struct SourceScope {
-  Heap& heap;
-  WellKnown& wk;
-  RootScope& roots;
-};
-using SourceFn = std::function<ObjRef(int64_t index, SourceScope& scope)>;
+// A source callback writes record `index` through `out`, field by field in
+// declared order (see RecordWriter); the engine opens and closes the record
+// around the call. A callback must be a pure function of its index that only
+// reads its captured inputs: in kGerenuk, tasks on different workers call it
+// concurrently, each with its own writer.
+using SourceFn = std::function<void(int64_t index, RecordWriter& out)>;
 
 // Key extraction for shuffles: an IR function T -> i64, or T -> String when
 // is_string is set.

@@ -77,11 +77,17 @@ DatasetPtr EngineCore::Source(const Klass* klass, int64_t count, const SourceFn&
   const int num_partitions = config_.execution.num_partitions;
   auto dataset = std::make_shared<Dataset>(*heap_, klass, num_partitions, &memory_);
   if (mode() == EngineMode::kBaseline) {
+    // Input deserialization, as a JVM job pays it: every record's bytes are
+    // read back into heap objects, serially on the engine heap.
+    InlineSerializer serde(*heap_);
+    RecordWriter writer;
     for (int64_t i = 0; i < count; ++i) {
-      RootScope roots(*heap_);
-      SourceScope scope{*heap_, *wk_, roots};
-      ObjRef rec = make(i, scope);
-      dataset->heap_parts[static_cast<size_t>(i % num_partitions)].push_back(rec);
+      writer.Open(klass);
+      make(i, writer);
+      const std::span<const uint8_t> body = writer.Close();
+      ByteReader in(body.data(), body.size());
+      dataset->heap_parts[static_cast<size_t>(i % num_partitions)].push_back(
+          serde.ReadBody(klass, in));
     }
     for (NativePartition& part : dataset->native_parts) {
       part.Seal();
@@ -92,17 +98,15 @@ DatasetPtr EngineCore::Source(const Klass* klass, int64_t count, const SourceFn&
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "source");
   scheduler_->RunStage(
       num_partitions,
-      [&](WorkerContext& ctx, int p) {
+      [&](WorkerContext&, int p) {
         NativePartition& part = dataset->native_parts[static_cast<size_t>(p)];
         try {
-          RootScope roots(ctx.heap());
-          SourceScope scope{ctx.heap(), ctx.wk(), roots};
-          ByteBuffer record;
+          RecordWriter writer;
           for (int64_t i = p; i < count; i += num_partitions) {
-            record.Clear();
-            ctx.serde().WriteRecord(make(i, scope), klass, record);
-            roots.Clear();
-            part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
+            writer.Open(klass);
+            make(i, writer);
+            const std::span<const uint8_t> body = writer.Close();
+            part.AppendRecord(body.data(), static_cast<uint32_t>(body.size()));
           }
           // Committed data carries an integrity seal from the moment it
           // exists (DESIGN.md "Fault model & recovery").
@@ -111,10 +115,6 @@ DatasetPtr EngineCore::Source(const Klass* klass, int64_t count, const SourceFn&
           part.Release();
           throw;
         }
-        // Every object the task built is dead now. Collecting here keeps
-        // each worker heap from carrying an eden of ingest garbage (and its
-        // tracked bytes) through the rest of the job.
-        ctx.heap().CollectNow();
       },
       &ingest_stats);
   return dataset;
@@ -237,6 +237,19 @@ void EngineCore::RunTask(SerExecutor& exec, TaskIo& io, WorkerContext& ctx, bool
   } else {
     ctx.stats().aborts += outcome.aborts;
   }
+}
+
+void EngineCore::RunWorkerStage(int num_tasks, const TaskScheduler::Task& task,
+                                const StageCodec* codec) {
+  scheduler_->RunStage(
+      num_tasks,
+      [&task](WorkerContext& ctx, int t) {
+        task(ctx, t);
+        if (ctx.heap().used_bytes() > 0) {
+          ctx.heap().CollectNow();
+        }
+      },
+      &stats_, codec);
 }
 
 StageCodec EngineCore::PartitionVectorCodec(std::vector<NativePartition>* parts) {

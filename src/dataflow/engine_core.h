@@ -43,14 +43,16 @@ class EngineCore {
   const DataStructAnalyzer& layouts() const { return layouts_; }
 
   // Builds and seals a source dataset of `count` records; record i lands in
-  // partition i % num_partitions, in ascending i. kBaseline builds every
-  // record serially on the engine heap (the oracle). kGerenuk runs one
-  // scheduler task per partition under a "source" stage span: the task
-  // builds its records in its own worker heap, serializes them into the
-  // native partition, seals it, then collects the worker heap so no ingest
-  // garbage outlives the task. The ingest stage claims no task ordinals and
-  // its stats are discarded, so fault plans and EngineStats see only the
-  // job's stages. Call ResetMetrics() afterwards to exclude generation cost.
+  // partition i % num_partitions, in ascending i. `make` writes record i
+  // through a RecordWriter straight into the inline format. kGerenuk runs
+  // one scheduler task per partition under a "source" stage span, appending
+  // each record's bytes to the partition and sealing it: no heap object is
+  // built, so there is no ingest garbage to collect. kBaseline runs the
+  // same callback serially and reads every record back into engine-heap
+  // objects (the input deserialization a JVM job pays; the oracle). The
+  // ingest stage claims no task ordinals and its stats are discarded, so
+  // fault plans and EngineStats see only the job's stages. Call
+  // ResetMetrics() afterwards to exclude generation cost.
   DatasetPtr Source(const Klass* klass, int64_t count, const SourceFn& make);
 
   const EngineStats& stats() const { return stats_; }
@@ -146,6 +148,14 @@ class EngineCore {
   // abort) or — when the governor or oracle vetoed speculation — straight
   // on the slow path, and counts the outcome into the worker's stats.
   static void RunTask(SerExecutor& exec, TaskIo& io, WorkerContext& ctx, bool speculate);
+
+  // Runs a Gerenuk-mode job stage on the worker pool, merging into stats_.
+  // Nothing a task allocates on its worker heap outlives it (committed
+  // output is native), so each task ends by collecting whatever it left
+  // there — its slow path's objects — instead of letting that garbage count
+  // against the worker's later stages and jobs. A task that stayed on the
+  // fast path leaves the heap empty and pays nothing.
+  void RunWorkerStage(int num_tasks, const TaskScheduler::Task& task, const StageCodec* codec);
 
   // Process-mode wire codec for a stage whose task `t` commits one sealed
   // partition into `(*parts)[t]`. Encode ships the partition's shuffle-wire

@@ -165,7 +165,7 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
   const int aborts_before = stats_.aborts;
   const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "narrow");
-  scheduler_->RunStage(
+  RunWorkerStage(
       parts,
       [&](WorkerContext& ctx, int p) {
         ctx.stats().tasks_run += 1;
@@ -191,7 +191,7 @@ DatasetPtr SparkEngine::RunNarrowGerenuk(const DatasetPtr& input, const Compiled
         RunTask(exec, io, ctx, speculate);
         out_part.Seal();
       },
-      &stats_, &codec);
+      &codec);
   if (speculate) {
     ObserveSpeculation(stage.signature.hash, parts, stats_.aborts - aborts_before);
   }
@@ -287,7 +287,7 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
   ShuffleKeyHash hasher;
   const StageCodec codec = BucketRowCodec(buckets, &memory_);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "shuffle");
-  scheduler_->RunStage(
+  RunWorkerStage(
       parts,
       [&](WorkerContext& ctx, int p) {
         ctx.stats().tasks_run += 1;
@@ -387,7 +387,7 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
                                     ctx.stats().shuffle_bytes - shuffle_before);
         }
       },
-      &stats_, &codec);
+      &codec);
   if (speculate) {
     ObserveSpeculation(stage.signature.hash, parts, stats_.aborts - aborts_before);
   }
@@ -404,7 +404,7 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
                                    const Klass* rec_klass,
                                    std::vector<NativePartition>* buckets) {
   TraceSink* sink = ctx.trace_sink();
-  TraceSpan span(sink, TraceEventType::kFastPath, "combine");
+  TraceSpan span(sink, TraceEventType::kCombine, "combine");
   ComputePhaseScope compute(ctx.stats().times);
   BuilderStore builders(layouts_);
   std::unique_ptr<SerRunner> runner =
@@ -531,7 +531,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
   const int aborts_before = stats_.aborts;
   const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "reduce");
-  scheduler_->RunStage(
+  RunWorkerStage(
       config_.execution.num_partitions,
       [&](WorkerContext& ctx, int p) {
         ctx.stats().tasks_run += 1;
@@ -625,7 +625,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         out_part.Seal();
         ctx.heap().set_phase_times(nullptr);
       },
-      &stats_, &codec);
+      &codec);
   if (speculate) {
     ObserveSpeculation(reduce_c.signature.hash, config_.execution.num_partitions,
                        stats_.aborts - aborts_before);
@@ -742,7 +742,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
   ClaimTaskOrdinals(config_.execution.num_partitions);
   const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "join");
-  scheduler_->RunStage(
+  RunWorkerStage(
       config_.execution.num_partitions,
       [&](WorkerContext& ctx, int p) {
         ctx.stats().tasks_run += 1;
@@ -784,7 +784,7 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
         ctx.stats().fast_path_commits += 1;
         out_part.Seal();
       },
-      &stats_, &codec);
+      &codec);
   return out;
 }
 

@@ -293,7 +293,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
       }
     };
     TraceSpan map_span(DriverSink(), TraceEventType::kStage, "map");
-    scheduler_->RunStage(
+    RunWorkerStage(
         map_tasks,
         [&](WorkerContext& ctx, int task) {
           ctx.stats().map_tasks += 1;
@@ -447,7 +447,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                                       ctx.stats().shuffle_bytes - shuffle_before);
           }
         },
-        &stats_, &map_codec);
+        &map_codec);
     if (map_speculate) {
       ObserveSpeculation(map_stage.signature.hash, map_tasks, stats_.aborts - map_aborts_before);
     }
@@ -555,7 +555,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
   // partition; its shuffle-wire bytes (seal included) ship back whole.
   const StageCodec reduce_codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
-  scheduler_->RunStage(
+  RunWorkerStage(
       reducers,
       [&](WorkerContext& ctx, int r) {
         ctx.stats().reduce_tasks += 1;
@@ -642,7 +642,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
         out_part.Seal();
         ctx.heap().set_phase_times(nullptr);
       },
-      &stats_, &reduce_codec);
+      &reduce_codec);
   if (reduce_speculate) {
     ObserveSpeculation(reduce_c.signature.hash, reducers, stats_.aborts - reduce_aborts_before);
   }

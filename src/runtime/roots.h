@@ -30,7 +30,6 @@ class RootScope {
   ObjRef Get(size_t index) const { return slots_[index]; }
   void Set(size_t index, ObjRef ref) { slots_[index] = ref; }
   void Pop() { slots_.pop_back(); }
-  void Clear() { slots_.clear(); }
   size_t size() const { return slots_.size(); }
 
  private:

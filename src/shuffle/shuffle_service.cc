@@ -99,7 +99,10 @@ void ShuffleRun::Add(int producer, int bucket, NativePartition&& part, EngineSta
   } else {
     ByteBuffer wire;
     part.SerializeTo(wire);
-    ByteBuffer stored;
+    // Reserved for the stored-codec frame (one codec byte plus the wire).
+    // This also keeps GCC 12 from a false -Warray-bounds report on that
+    // append into a buffer it last saw grow by one byte.
+    ByteBuffer stored(wire.size() + 1);
     if (config_.compress) {
       CompressBlock(wire.data(), wire.size(), &stored);
     } else {

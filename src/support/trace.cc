@@ -52,6 +52,8 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "breaker";
     case TraceEventType::kCombineAbort:
       return "combine_abort";
+    case TraceEventType::kCombine:
+      return "combine";
   }
   return "?";
 }

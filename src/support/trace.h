@@ -62,6 +62,7 @@ enum class TraceEventType : uint8_t {
   kJobCancel,          // instant: job cancelled / deadline-expired (arg = job id)
   kBreaker,            // instant: slot breaker transition (arg = slot)
   kCombineAbort,       // instant: map-side combine gave up (arg = AbortReason)
+  kCombine,            // span: map-side combine of a reduce with no accumulate form
 };
 
 const char* TraceEventTypeName(TraceEventType type);

@@ -230,32 +230,20 @@ HadoopWorkloads::HadoopWorkloads(HadoopEngine& engine) : engine_(engine) {
 }
 
 DatasetPtr HadoopWorkloads::MakePostInput(const std::vector<SyntheticPost>& posts) {
-  const int user_off = post->FindField("user")->offset;
-  const int topic_off = post->FindField("topic")->offset;
-  const int score_off = post->FindField("score")->offset;
-  const int text_off = post->FindField("text")->offset;
   return engine_.Source(
-      post, static_cast<int64_t>(posts.size()), [&](int64_t i, SourceScope& s) {
+      post, static_cast<int64_t>(posts.size()), [&](int64_t i, RecordWriter& w) {
         const SyntheticPost& p = posts[static_cast<size_t>(i)];
-        size_t text = s.roots.Push(s.wk.AllocString(p.text));
-        ObjRef rec = s.heap.AllocObject(post);
-        s.heap.SetPrim<int64_t>(rec, user_off, p.user_id);
-        s.heap.SetPrim<int32_t>(rec, topic_off, p.topic);
-        s.heap.SetPrim<int32_t>(rec, score_off, p.score);
-        s.heap.SetRef(rec, text_off, s.roots.Get(text));
-        return rec;
+        w.I64(p.user_id);
+        w.I32(p.topic);
+        w.I32(p.score);
+        w.Array(p.text);
       });
 }
 
 DatasetPtr HadoopWorkloads::MakeTextInput(const std::vector<std::string>& lines) {
-  const int text_off = doc->FindField("text")->offset;
   return engine_.Source(
-      doc, static_cast<int64_t>(lines.size()), [&](int64_t i, SourceScope& s) {
-        size_t text = s.roots.Push(s.wk.AllocString(lines[static_cast<size_t>(i)]));
-        ObjRef rec = s.heap.AllocObject(doc);
-        s.heap.SetRef(rec, text_off, s.roots.Get(text));
-        return rec;
-      });
+      doc, static_cast<int64_t>(lines.size()),
+      [&](int64_t i, RecordWriter& w) { w.Array(lines[static_cast<size_t>(i)]); });
 }
 
 namespace {

@@ -651,19 +651,9 @@ int64_t ReadI64Field(Heap& heap, ObjRef rec, const Klass* klass, const char* fie
 // VertexLinks{id, neighbors: i64[]} per vertex (PageRank, ConnectedComponents).
 DatasetPtr SourceVertexLinks(SparkEngine& engine, const Klass* vertex_links,
                              const SyntheticGraph& graph) {
-  const Klass* i64_array = engine.heap().klasses().Find("i64[]");
-  const int id_off = vertex_links->FindField("id")->offset;
-  const int neighbors_off = vertex_links->FindField("neighbors")->offset;
-  return engine.Source(vertex_links, graph.num_vertices, [&](int64_t v, SourceScope& s) {
-    const auto& neighbors = graph.out_edges[static_cast<size_t>(v)];
-    size_t arr = s.roots.Push(s.heap.AllocArray(i64_array, neighbors.size()));
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      s.heap.ASet<int64_t>(s.roots.Get(arr), static_cast<int64_t>(i), neighbors[i]);
-    }
-    ObjRef rec = s.heap.AllocObject(vertex_links);
-    s.heap.SetPrim<int64_t>(rec, id_off, v);
-    s.heap.SetRef(rec, neighbors_off, s.roots.Get(arr));
-    return rec;
+  return engine.Source(vertex_links, graph.num_vertices, [&](int64_t v, RecordWriter& w) {
+    w.I64(v);
+    w.Array(graph.out_edges[static_cast<size_t>(v)]);
   });
 }
 
@@ -671,42 +661,23 @@ DatasetPtr SourceVertexLinks(SparkEngine& engine, const Klass* vertex_links,
 template <typename Initial>
 DatasetPtr SourceRanks(SparkEngine& engine, const Klass* rank, int64_t num_vertices,
                        Initial initial) {
-  const int id_off = rank->FindField("id")->offset;
-  const int rank_off = rank->FindField("rank")->offset;
-  return engine.Source(rank, num_vertices, [&](int64_t v, SourceScope& s) {
-    ObjRef rec = s.heap.AllocObject(rank);
-    s.heap.SetPrim<int64_t>(rec, id_off, v);
-    s.heap.SetPrim<double>(rec, rank_off, initial(v));
-    return rec;
+  return engine.Source(rank, num_vertices, [&](int64_t v, RecordWriter& w) {
+    w.I64(v);
+    w.F64(initial(v));
   });
 }
 
 // LabeledPoint{label, features: DenseVector{numActives, values: f64[]}}
 // per point (LogisticRegression, GradientBoosting).
 DatasetPtr SourceLabeledPoints(SparkEngine& engine, const Klass* labeled_point,
-                               const Klass* dense_vector, const SyntheticLabeledPoints& data) {
-  const Klass* f64_array = engine.heap().klasses().Find("f64[]");
-  const int num_actives_off = dense_vector->FindField("numActives")->offset;
-  const int values_off = dense_vector->FindField("values")->offset;
-  const int label_off = labeled_point->FindField("label")->offset;
-  const int features_off = labeled_point->FindField("features")->offset;
-  return engine.Source(
-      labeled_point, static_cast<int64_t>(data.features.size()),
-      [&](int64_t i, SourceScope& s) {
-        const auto& feature = data.features[static_cast<size_t>(i)];
-        size_t arr = s.roots.Push(s.heap.AllocArray(f64_array, feature.size()));
-        for (size_t d = 0; d < feature.size(); ++d) {
-          s.heap.ASet<double>(s.roots.Get(arr), static_cast<int64_t>(d), feature[d]);
-        }
-        size_t vec = s.roots.Push(s.heap.AllocObject(dense_vector));
-        s.heap.SetPrim<int32_t>(s.roots.Get(vec), num_actives_off,
-                                static_cast<int32_t>(feature.size()));
-        s.heap.SetRef(s.roots.Get(vec), values_off, s.roots.Get(arr));
-        ObjRef rec = s.heap.AllocObject(labeled_point);
-        s.heap.SetPrim<double>(rec, label_off, data.labels[static_cast<size_t>(i)]);
-        s.heap.SetRef(rec, features_off, s.roots.Get(vec));
-        return rec;
-      });
+                               const SyntheticLabeledPoints& data) {
+  return engine.Source(labeled_point, static_cast<int64_t>(data.features.size()),
+                       [&](int64_t i, RecordWriter& w) {
+                         const auto& feature = data.features[static_cast<size_t>(i)];
+                         w.F64(data.labels[static_cast<size_t>(i)]);
+                         w.I32(static_cast<int32_t>(feature.size()));
+                         w.Array(feature);
+                       });
 }
 
 }  // namespace
@@ -770,19 +741,11 @@ WorkloadResult SparkWorkloads::RunKMeans(const SyntheticPoints& data, int k, int
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
-  const int num_actives_off = point->FindField("numActives")->offset;
-  const int values_off = point->FindField("values")->offset;
   DatasetPtr points = engine_.Source(
-      point, static_cast<int64_t>(data.values.size()), [&](int64_t i, SourceScope& s) {
+      point, static_cast<int64_t>(data.values.size()), [&](int64_t i, RecordWriter& w) {
         const auto& value = data.values[static_cast<size_t>(i)];
-        size_t arr = s.roots.Push(s.heap.AllocArray(f64_array, value.size()));
-        for (size_t d = 0; d < value.size(); ++d) {
-          s.heap.ASet<double>(s.roots.Get(arr), static_cast<int64_t>(d), value[d]);
-        }
-        ObjRef rec = s.heap.AllocObject(point);
-        s.heap.SetPrim<int32_t>(rec, num_actives_off, static_cast<int32_t>(value.size()));
-        s.heap.SetRef(rec, values_off, s.roots.Get(arr));
-        return rec;
+        w.I32(static_cast<int32_t>(value.size()));
+        w.Array(value);
       });
 
   // Initial centers: the first k points.
@@ -838,7 +801,7 @@ WorkloadResult SparkWorkloads::RunLogisticRegression(const SyntheticLabeledPoint
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
-  DatasetPtr points = SourceLabeledPoints(engine_, labeled_point, dense_vector, data);
+  DatasetPtr points = SourceLabeledPoints(engine_, labeled_point, data);
 
   std::vector<double> w(static_cast<size_t>(dim), 0.0);
   engine_.ResetMetrics();
@@ -877,18 +840,11 @@ WorkloadResult SparkWorkloads::RunLogisticRegression(const SyntheticLabeledPoint
 
 WorkloadResult SparkWorkloads::RunChiSquareSelector(const SyntheticLabeledPoints& data) {
   Heap& heap = engine_.heap();
-  const Klass* f64_array = heap.klasses().Find("f64[]");
-  const Klass* i32_array = heap.klasses().Find("i32[]");
 
-  const int num_actives_off = sparse_vector->FindField("numActives")->offset;
-  const int indices_off = sparse_vector->FindField("indices")->offset;
-  const int values_off = sparse_vector->FindField("values")->offset;
-  const int label_off = sparse_point->FindField("label")->offset;
-  const int features_off = sparse_point->FindField("features")->offset;
   // Sparsify: keep features with |x| > 0.8 (roughly half).
   DatasetPtr points = engine_.Source(
       sparse_point, static_cast<int64_t>(data.features.size()),
-      [&](int64_t i, SourceScope& s) {
+      [&](int64_t i, RecordWriter& w) {
         const auto& feature = data.features[static_cast<size_t>(i)];
         std::vector<int32_t> indices;
         std::vector<double> values;
@@ -902,23 +858,10 @@ WorkloadResult SparkWorkloads::RunChiSquareSelector(const SyntheticLabeledPoints
           indices.push_back(0);
           values.push_back(feature[0]);
         }
-        size_t idx_arr = s.roots.Push(s.heap.AllocArray(i32_array, indices.size()));
-        for (size_t j = 0; j < indices.size(); ++j) {
-          s.heap.ASet<int32_t>(s.roots.Get(idx_arr), static_cast<int64_t>(j), indices[j]);
-        }
-        size_t val_arr = s.roots.Push(s.heap.AllocArray(f64_array, values.size()));
-        for (size_t j = 0; j < values.size(); ++j) {
-          s.heap.ASet<double>(s.roots.Get(val_arr), static_cast<int64_t>(j), values[j]);
-        }
-        size_t vec = s.roots.Push(s.heap.AllocObject(sparse_vector));
-        s.heap.SetPrim<int32_t>(s.roots.Get(vec), num_actives_off,
-                                static_cast<int32_t>(indices.size()));
-        s.heap.SetRef(s.roots.Get(vec), indices_off, s.roots.Get(idx_arr));
-        s.heap.SetRef(s.roots.Get(vec), values_off, s.roots.Get(val_arr));
-        ObjRef rec = s.heap.AllocObject(sparse_point);
-        s.heap.SetPrim<double>(rec, label_off, data.labels[static_cast<size_t>(i)]);
-        s.heap.SetRef(rec, features_off, s.roots.Get(vec));
-        return rec;
+        w.F64(data.labels[static_cast<size_t>(i)]);
+        w.I32(static_cast<int32_t>(indices.size()));
+        w.Array(indices);
+        w.Array(values);
       });
 
   engine_.ResetMetrics();
@@ -967,7 +910,7 @@ WorkloadResult SparkWorkloads::RunGradientBoosting(const SyntheticLabeledPoints&
   const Klass* f64_array = heap.klasses().Find("f64[]");
   int dim = data.dim;
 
-  DatasetPtr points = SourceLabeledPoints(engine_, labeled_point, dense_vector, data);
+  DatasetPtr points = SourceLabeledPoints(engine_, labeled_point, data);
 
   std::vector<double> stump_weights(static_cast<size_t>(dim), 0.0);
   engine_.ResetMetrics();
@@ -1012,14 +955,9 @@ WorkloadResult SparkWorkloads::RunGradientBoosting(const SyntheticLabeledPoints&
 
 WorkloadResult SparkWorkloads::RunWordCount(const std::vector<std::string>& lines) {
   Heap& heap = engine_.heap();
-  const int text_off = line->FindField("text")->offset;
   DatasetPtr input = engine_.Source(
-      line, static_cast<int64_t>(lines.size()), [&](int64_t i, SourceScope& s) {
-        size_t text = s.roots.Push(s.wk.AllocString(lines[static_cast<size_t>(i)]));
-        ObjRef rec = s.heap.AllocObject(line);
-        s.heap.SetRef(rec, text_off, s.roots.Get(text));
-        return rec;
-      });
+      line, static_cast<int64_t>(lines.size()),
+      [&](int64_t i, RecordWriter& w) { w.Array(lines[static_cast<size_t>(i)]); });
   engine_.ResetMetrics();
   DatasetPtr counts =
       engine_.ReduceByKey(input, udfs_, {NarrowOp::FlatMap(wc_tokenize_, word_count)},
@@ -1038,25 +976,18 @@ WorkloadResult SparkWorkloads::RunWordCount(const std::vector<std::string>& line
 WorkloadResult SparkWorkloads::RunAccountGrouping(const std::vector<SyntheticPost>& posts,
                                                   int64_t initial_capacity) {
   Heap& heap = engine_.heap();
-  const Klass* i64_array = heap.klasses().Find("i64[]");
 
   // Each post arrives as a single-entry Account; grouping by user folds them
   // together, occasionally overflowing the initial capacity (the resize).
-  const int user_off = account->FindField("user")->offset;
-  const int size_off = account->FindField("size")->offset;
-  const int capacity_off = account->FindField("capacity")->offset;
-  const int lengths_off = account->FindField("lengths")->offset;
   DatasetPtr singles = engine_.Source(
-      account, static_cast<int64_t>(posts.size()), [&](int64_t i, SourceScope& s) {
+      account, static_cast<int64_t>(posts.size()), [&](int64_t i, RecordWriter& w) {
         const SyntheticPost& post = posts[static_cast<size_t>(i)];
-        size_t arr = s.roots.Push(s.heap.AllocArray(i64_array, initial_capacity));
-        s.heap.ASet<int64_t>(s.roots.Get(arr), 0, static_cast<int64_t>(post.text.size()));
-        ObjRef rec = s.heap.AllocObject(account);
-        s.heap.SetPrim<int64_t>(rec, user_off, post.user_id);
-        s.heap.SetPrim<int64_t>(rec, size_off, 1);
-        s.heap.SetPrim<int64_t>(rec, capacity_off, initial_capacity);
-        s.heap.SetRef(rec, lengths_off, s.roots.Get(arr));
-        return rec;
+        std::vector<int64_t> lengths(static_cast<size_t>(initial_capacity));
+        lengths[0] = static_cast<int64_t>(post.text.size());
+        w.I64(post.user_id);
+        w.I64(1);
+        w.I64(initial_capacity);
+        w.Array(lengths);
       });
 
   engine_.ResetMetrics();

@@ -175,11 +175,9 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
   DatasetPtr in;
   if (sum == Sum::kI64) {
     const Klass* k = tally.tally;
-    in = job.engine.Source(k, kRecords, [k](int64_t i, SourceScope& s) {
-      ObjRef rec = s.heap.AllocObject(k);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 10);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("n")->offset, i * 7919 - 40000);
-      return rec;
+    in = job.engine.Source(k, kRecords, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 10);
+      w.I64(i * 7919 - 40000);
     });
   } else if (sum == Sum::kF64) {
     in = job.MakeInput(kRecords);
@@ -188,18 +186,13 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
     // out.t = a.t does not depend on fold order) and a signaling NaN for
     // key 3; w holds quarters, exact in f32 in any order.
     const Klass* k = narrow.narrow;
-    in = job.engine.Source(k, kRecords, [k](int64_t i, SourceScope& s) {
+    in = job.engine.Source(k, kRecords, [](int64_t i, RecordWriter& w) {
       const int64_t key = i % 10;
-      ObjRef rec = s.heap.AllocObject(k);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, key);
-      s.heap.SetPrim<int32_t>(rec, k->FindField("n")->offset,
-                              static_cast<int32_t>(2000000000 - i * 7));
-      s.heap.SetPrim<int32_t>(rec, k->FindField("m")->offset,
-                              static_cast<int32_t>((i * 7919) % 60000 - 30000));
-      s.heap.SetPrim<float>(rec, k->FindField("w")->offset, static_cast<float>(i % 9) * 0.25f);
-      s.heap.SetPrim<uint32_t>(rec, k->FindField("t")->offset,
-                               key == 3 ? 0x7fa00001u : std::bit_cast<uint32_t>(key * 0.5f));
-      return rec;
+      w.I64(key);
+      w.I32(static_cast<int32_t>(2000000000 - i * 7));
+      w.I32(static_cast<int32_t>((i * 7919) % 60000 - 30000));
+      w.F32(static_cast<float>(i % 9) * 0.25f);
+      w.F32(key == 3 ? std::bit_cast<float>(0x7fa00001u) : key * 0.5f);
     });
   }
   job.engine.ResetMetrics();

@@ -132,11 +132,9 @@ inline const Function* BuildPoisonedSum(PairUdfs* udfs) {
 template <typename Engine>
 inline DatasetPtr MakePairInput(Engine& engine, const PairUdfs& udfs, int64_t count) {
   const Klass* k = udfs.pair;
-  return engine.Source(k, count, [k](int64_t i, SourceScope& s) {
-    ObjRef rec = s.heap.AllocObject(k);
-    s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 10);
-    s.heap.SetPrim<double>(rec, k->FindField("value")->offset, (i % 7) - 3.0);
-    return rec;
+  return engine.Source(k, count, [](int64_t i, RecordWriter& w) {
+    w.I64(i % 10);
+    w.F64((i % 7) - 3.0);
   });
 }
 

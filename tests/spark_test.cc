@@ -17,6 +17,15 @@
 namespace gerenuk {
 namespace {
 
+EngineConfig PairWorkloadConfig(EngineMode mode, size_t heap_bytes) {
+  EngineConfig config;
+  config.execution.mode = mode;
+  config.execution.heap_bytes = heap_bytes;
+  config.execution.gc = GcKind::kGenerational;
+  config.execution.num_partitions = 3;
+  return config;
+}
+
 // A test workload over Pair{key:i64, value:f64} records.
 struct PairWorkload {
   SparkEngine engine;
@@ -31,7 +40,7 @@ struct PairWorkload {
   const Function* add_broadcast;  // map with broadcast: value += bc.value
 
   explicit PairWorkload(EngineMode mode, size_t heap_bytes = 48u << 20)
-      : engine(EngineConfig{{mode, heap_bytes, GcKind::kGenerational, 3}}) {
+      : engine(PairWorkloadConfig(mode, heap_bytes)) {
     KlassRegistry& reg = engine.heap().klasses();
     pair = reg.DefineClass("Pair", {
                                        {"key", FieldKind::kI64, nullptr, 0},
@@ -137,8 +146,9 @@ struct PairWorkload {
   }
 
   DatasetPtr MakeInput(int64_t count) {
-    return engine.Source(pair, count, [this](int64_t i, SourceScope& s) {
-      return MakePair(s.heap, i % 10, (i % 7) - 3.0);
+    return engine.Source(pair, count, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 10);
+      w.F64((i % 7) - 3.0);
     });
   }
 
@@ -271,8 +281,9 @@ TEST(SparkEngineTest, JoinByKeyMatchesAcrossModes) {
   for (EngineMode mode : {EngineMode::kBaseline, EngineMode::kGerenuk}) {
     PairWorkload w(mode);
     // Left: one record per key 0..9; right: 300 records keyed i%10.
-    DatasetPtr left = w.engine.Source(w.pair, 10, [&w](int64_t i, SourceScope& s) {
-      return w.MakePair(s.heap, i, i * 10.0);
+    DatasetPtr left = w.engine.Source(w.pair, 10, [](int64_t i, RecordWriter& out) {
+      out.I64(i);
+      out.F64(i * 10.0);
     });
     DatasetPtr right = w.MakeInput(300);
     DatasetPtr out = w.engine.JoinByKey(left, KeySpec{w.get_key, false}, right,
@@ -379,12 +390,10 @@ struct TaggedJob {
   // key = i % 6; seq cycles 0..3 within a key, so every key has many ties.
   DatasetPtr MakeInput(int64_t count) {
     const Klass* k = tagged;
-    return engine.Source(k, count, [k](int64_t i, SourceScope& s) {
-      ObjRef rec = s.heap.AllocObject(k);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("key")->offset, i % 6);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("seq")->offset, (i / 6) % 4);
-      s.heap.SetPrim<int64_t>(rec, k->FindField("tag")->offset, i);
-      return rec;
+    return engine.Source(k, count, [](int64_t i, RecordWriter& w) {
+      w.I64(i % 6);
+      w.I64((i / 6) % 4);
+      w.I64(i);
     });
   }
 
@@ -548,23 +557,15 @@ struct NestedPointJob {
   }
 
   DatasetPtr MakeInput(int64_t count) {
-    const int num_actives_off = dense_vector->FindField("numActives")->offset;
-    const int values_off = dense_vector->FindField("values")->offset;
-    const int label_off = labeled_point->FindField("label")->offset;
-    const int features_off = labeled_point->FindField("features")->offset;
-    return engine.Source(labeled_point, count, [&](int64_t i, SourceScope& s) {
+    return engine.Source(labeled_point, count, [](int64_t i, RecordWriter& w) {
       const int64_t dim = 1 + i % 9;
-      size_t arr = s.roots.Push(s.heap.AllocArray(f64_array, dim));
+      std::vector<double> values(static_cast<size_t>(dim));
       for (int64_t d = 0; d < dim; ++d) {
-        s.heap.ASet<double>(s.roots.Get(arr), d, static_cast<double>(i) * 0.5 + d);
+        values[static_cast<size_t>(d)] = static_cast<double>(i) * 0.5 + d;
       }
-      size_t vec = s.roots.Push(s.heap.AllocObject(dense_vector));
-      s.heap.SetPrim<int32_t>(s.roots.Get(vec), num_actives_off, static_cast<int32_t>(dim));
-      s.heap.SetRef(s.roots.Get(vec), values_off, s.roots.Get(arr));
-      ObjRef rec = s.heap.AllocObject(labeled_point);
-      s.heap.SetPrim<double>(rec, label_off, static_cast<double>(i) / 4.0);
-      s.heap.SetRef(rec, features_off, s.roots.Get(vec));
-      return rec;
+      w.F64(static_cast<double>(i) / 4.0);
+      w.I32(static_cast<int32_t>(dim));
+      w.Array(values);
     });
   }
 };

@@ -384,6 +384,57 @@ TEST(TraceNestingTest, AbortInstantNestsInFastSpanThenSlowPathFollows) {
 }
 
 // ---------------------------------------------------------------------------
+// Map-side combine of a reduce with no accumulate form: a "combine" span of
+// its own, inside the map task's span and after its fast_path span, so
+// exec.fast_path_ms never counts it.
+// ---------------------------------------------------------------------------
+
+TEST(TraceCombineTest, CombineSpansAreNotFastPathAndSitInsideTheirTask) {
+  auto inside = [](const TraceEvent& outer, const TraceEvent& ev) {
+    return ev.ts_ns >= outer.ts_ns && ev.ts_ns + ev.dur_ns <= outer.ts_ns + outer.dur_ns;
+  };
+  auto same_attempt = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.worker == b.worker && a.task == b.task && a.attempt == b.attempt;
+  };
+  for (int workers : kWorkerCounts) {
+    EngineConfig config = SparkWith(workers);
+    config.observability.trace = true;
+    SparkJob job(config);
+    const Function* poisoned = BuildPoisonedSum(&job);  // has no accumulate form
+    DatasetPtr in = job.MakeInput(400);
+    job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false}, poisoned);
+    const std::vector<TraceEvent> events = job.engine.trace()->events();
+
+    int combines = 0;
+    for (const TraceEvent& ev : events) {
+      if (ev.kind != TraceEventKind::kSpan || std::string(ev.name) != "combine") {
+        continue;
+      }
+      combines += 1;
+      EXPECT_NE(ev.type, TraceEventType::kFastPath) << "combine span filed as fast path";
+      EXPECT_EQ(ev.type, TraceEventType::kCombine);
+      bool in_task = false;
+      for (const TraceEvent& other : events) {
+        if (other.kind != TraceEventKind::kSpan || &other == &ev || !same_attempt(other, ev)) {
+          continue;
+        }
+        if (other.type == TraceEventType::kTask && inside(other, ev)) {
+          in_task = true;
+        }
+        if (other.type == TraceEventType::kFastPath) {
+          EXPECT_TRUE(other.ts_ns + other.dur_ns <= ev.ts_ns ||
+                      ev.ts_ns + ev.dur_ns <= other.ts_ns)
+              << "combine span overlaps a fast_path span of task " << ev.task;
+        }
+      }
+      EXPECT_TRUE(in_task) << "combine span outside its task span, task " << ev.task;
+    }
+    EXPECT_EQ(combines, config.execution.num_partitions)
+        << "one combine per map task, workers=" << workers;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Source ingest: one "source" stage span holding one task span per partition.
 // ---------------------------------------------------------------------------
 

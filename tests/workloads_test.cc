@@ -211,5 +211,57 @@ TEST(DatagenTest, PostsAreLongTailed) {
   EXPECT_GT(max_posts, 40);  // heavy users exist (vs average of 10)
 }
 
+
+// Each partition's seal and bytes_used() for the Hadoop inputs below, as the
+// heap-object ingest path (build each record as objects, serialize it,
+// collect the heap) committed them before sources wrote through
+// RecordWriter. Pinning them keeps "the same bytes as before" checkable.
+struct PinnedPartition {
+  uint64_t seal;
+  int64_t bytes_used;
+};
+constexpr PinnedPartition kPinnedPostParts[] = {{0x6033be39ae21506dULL, 45847},
+                                                {0x9805352b719908aeULL, 45619},
+                                                {0x61584f8854c74451ULL, 45757},
+                                                {0x78311a5f9de66bc0ULL, 45540}};
+constexpr PinnedPartition kPinnedTextParts[] = {{0x02082ed4d7c9da2dULL, 37188},
+                                                {0x19b103387493b3a8ULL, 37114},
+                                                {0x9a176f7ff65f8f8eULL, 37156},
+                                                {0xdb5874f25976f19bULL, 37146}};
+
+void ExpectPinned(const DatasetPtr& ds, const PinnedPartition (&pinned)[4],
+                  const std::string& what) {
+  ASSERT_EQ(ds->native_parts.size(), 4u) << what;
+  for (size_t p = 0; p < 4; ++p) {
+    const NativePartition& part = ds->native_parts[p];
+    EXPECT_TRUE(part.sealed()) << what << " p=" << p;
+    EXPECT_EQ(part.checksum(), pinned[p].seal) << what << " p=" << p;
+    EXPECT_EQ(part.bytes_used(), pinned[p].bytes_used) << what << " p=" << p;
+  }
+}
+
+TEST(SourceIngestTest, HadoopInputsMatchPinnedSeals) {
+  const std::vector<SyntheticPost> posts = MakePosts(3000, 250, 16, 41);
+  const std::vector<std::string> lines = MakeTextLines(2000, 10, 500, 43);
+  // In-process engines first: process-mode engines must fork from a driver
+  // with no worker threads alive.
+  for (bool processes : {false, true}) {
+    for (int workers : {1, 2, 8}) {
+      HadoopConfig config;
+      config.engine.execution.mode = EngineMode::kGerenuk;
+      config.engine.execution.heap_bytes = 24u << 20;
+      config.engine.execution.num_partitions = 4;
+      config.engine.execution.num_workers = workers;
+      config.engine.execution.process_executors = processes;
+      HadoopEngine engine(config);
+      HadoopWorkloads workloads(engine);
+      const std::string where =
+          "workers=" + std::to_string(workers) + " processes=" + std::to_string(processes);
+      ExpectPinned(workloads.MakePostInput(posts), kPinnedPostParts, "posts " + where);
+      ExpectPinned(workloads.MakeTextInput(lines), kPinnedTextParts, "text " + where);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gerenuk
