@@ -1,32 +1,210 @@
 #include "src/mapreduce/hadoop.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
 #include "src/dataflow/native_fold.h"
+#include "src/support/fnv.h"
 
 namespace gerenuk {
 
 namespace {
 
-// One map-side sort-buffer entry: where the serialized/native record lives
-// and how it routes.
-struct BufferEntry {
-  int part;
-  ShuffleKey key;
-  size_t offset;  // kBaseline: offset into the task's wire buffer
-  size_t length;
-  int64_t addr;   // kGerenuk: committed record address in the task region
-  uint32_t size;
+// One map task's sort buffer. An emit joins its key's group through a hash
+// index, reusing the hash that picks its reducer partition, so an entry
+// carries a group id instead of a key copy and a spill sorts the distinct
+// (partition, key) groups only.
+class SortBuffer {
+ public:
+  struct Entry {
+    uint32_t group;
+    uint32_t size;
+    int64_t at;  // kBaseline: offset into the task's wire buffer; kGerenuk: record address
+  };
+
+  void Add(const ShuffleKey& key, int reducers, int64_t at, uint32_t size) {
+    if (2 * groups_.size() + 2 > slots_.size()) {
+      Rehash(std::max<size_t>(64, 2 * slots_.size()));
+    }
+    const size_t hash = ShuffleKey::Hash()(key);
+    size_t s = Slot(hash);
+    for (; slots_[s] != 0; s = (s + 1) & (slots_.size() - 1)) {
+      const Group& g = groups_[slots_[s] - 1];
+      if (g.hash == hash && g.key == key) {
+        break;
+      }
+    }
+    if (slots_[s] == 0) {
+      groups_.push_back({key, hash, static_cast<int>(hash % static_cast<size_t>(reducers)), 0});
+      slots_[s] = static_cast<uint32_t>(groups_.size());
+    }
+    groups_[slots_[s] - 1].count += 1;
+    entries_.push_back({slots_[s] - 1, size, at});
+  }
+
+  bool empty() const { return entries_.empty(); }
+
+  // Spills into `segment`: calls write(part, first, last) once per group in
+  // (partition, key) order, with [first, last) the group's entries in emit
+  // order, and records the key's run with the record count `write` returns.
+  // Then empties the buffer.
+  template <typename WriteFn>
+  void Drain(MapSegment* segment, WriteFn&& write) {
+    order_.resize(groups_.size());
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+      const Group& x = groups_[a];
+      const Group& y = groups_[b];
+      return x.part != y.part ? x.part < y.part : x.key < y.key;
+    });
+    // One counting pass: each entry goes to its group's next free slot, so
+    // next_[g] ends at group g's end.
+    next_.resize(groups_.size());
+    uint32_t at = 0;
+    for (uint32_t g : order_) {
+      next_[g] = at;
+      at += groups_[g].count;
+    }
+    placed_.resize(entries_.size());
+    for (const Entry& e : entries_) {
+      placed_[next_[e.group]++] = e;
+    }
+    for (uint32_t g : order_) {
+      Group& group = groups_[g];
+      const Entry* last = placed_.data() + next_[g];
+      uint32_t count = write(group.part, last - group.count, last);
+      segment->runs[static_cast<size_t>(group.part)].push_back({std::move(group.key), count});
+    }
+    Clear();
+  }
+
+  void Clear() {
+    groups_.clear();
+    entries_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0u);
+  }
+
+ private:
+  struct Group {
+    ShuffleKey key;
+    size_t hash;
+    int part;
+    uint32_t count;
+  };
+
+  size_t Slot(size_t hash) const { return (hash * 0x9e3779b97f4a7c15ULL) >> shift_; }
+  void Rehash(size_t size) {
+    slots_.assign(size, 0u);
+    shift_ = 64 - std::countr_zero(size);
+    for (uint32_t g = 0; g < groups_.size(); ++g) {
+      size_t s = Slot(groups_[g].hash);
+      while (slots_[s] != 0) {
+        s = (s + 1) & (size - 1);
+      }
+      slots_[s] = g + 1;
+    }
+  }
+
+  std::vector<Group> groups_;
+  std::vector<uint32_t> slots_;  // open addressing: group id + 1, 0 = empty
+  int shift_ = 64;
+  std::vector<Entry> entries_;   // emit order
+  std::vector<uint32_t> order_;  // group ids in (partition, key) order
+  std::vector<uint32_t> next_;
+  std::vector<Entry> placed_;    // entries grouped in order_
 };
 
-bool EntryOrder(const BufferEntry& a, const BufferEntry& b) {
-  if (a.part != b.part) {
-    return a.part < b.part;
+// One run of a merged key: `count` records of `segment`'s partition from
+// record `first` on.
+struct RunSource {
+  size_t segment;
+  size_t first;
+  uint32_t count;
+};
+
+// Merges reducer partition `r`'s key runs across `segments`: calls
+// fold(sources) once per distinct key in key order, with the key's runs in
+// segment order (map task, then spill). Segments are complete and read-only
+// by now (the map-stage barrier), so reduce tasks merge concurrently.
+template <typename FoldFn>
+void MergeRuns(const std::vector<MapSegment>& segments, int r, FoldFn&& fold) {
+  struct Cursor {
+    size_t segment;
+    size_t run;
+    size_t record;
+  };
+  auto key_of = [&](const Cursor& c) -> const ShuffleKey& {
+    return segments[c.segment].runs[static_cast<size_t>(r)][c.run].key;
+  };
+  // Heap order: the smallest key on top, and the earliest segment among equals.
+  auto later = [&](const Cursor& a, const Cursor& b) {
+    return key_of(b) < key_of(a) || (!(key_of(a) < key_of(b)) && a.segment > b.segment);
+  };
+  std::vector<Cursor> heap;
+  for (size_t s = 0; s < segments.size(); ++s) {
+    if (!segments[s].runs[static_cast<size_t>(r)].empty()) {
+      heap.push_back({s, 0, 0});
+    }
   }
-  return a.key < b.key;
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<RunSource> sources;
+  while (!heap.empty()) {
+    const ShuffleKey& key = key_of(heap.front());
+    sources.clear();
+    do {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Cursor& c = heap.back();
+      const std::vector<MapSegment::Run>& runs = segments[c.segment].runs[static_cast<size_t>(r)];
+      sources.push_back({c.segment, c.record, runs[c.run].count});
+      c.record += runs[c.run].count;
+      if (++c.run < runs.size()) {
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        heap.pop_back();
+      }
+    } while (!heap.empty() && key_of(heap.front()) == key);
+    fold(sources);
+  }
 }
+
+// Calls f(segment, record, first) for each record of a merged key, run by run.
+template <typename Fn>
+void ForEachRecord(const std::vector<RunSource>& sources, Fn&& f) {
+  bool first = true;
+  for (const RunSource& src : sources) {
+    for (size_t i = src.first; i < src.first + src.count; ++i) {
+      f(src.segment, i, first);
+      first = false;
+    }
+  }
+}
+
+// A pairwise fold of heap records through an interpreted reduce, rooted in
+// its own scope: the baseline combiner and reducer, and Gerenuk's slow path.
+class HeapFold {
+ public:
+  HeapFold(Heap& heap, Interpreter& interp, const Function* fn)
+      : scope_(heap), interp_(interp), fn_(fn) {}
+
+  // Slot 0 holds the accumulator; each later record folds into it.
+  void Add(ObjRef rec) {
+    if (scope_.Push(rec) == 0) {
+      return;
+    }
+    Value merged = interp_.CallFunction(fn_, {Value::Ref(static_cast<int64_t>(scope_.Get(0))),
+                                              Value::Ref(static_cast<int64_t>(scope_.Get(1)))});
+    scope_.Set(0, static_cast<ObjRef>(merged.i));
+    scope_.Pop();
+  }
+  ObjRef result() const { return scope_.Get(0); }
+
+ private:
+  RootScope scope_;
+  Interpreter& interp_;
+  const Function* fn_;
+};
 
 // One validation gate for the whole config, crossed before any member that
 // consumes a knob (the heap, the scheduler) is built.
@@ -38,17 +216,96 @@ const HadoopConfig& ValidatedHadoopConfig(const HadoopConfig& config) {
 
 }  // namespace
 
-HadoopEngine::Segment::Segment(int partitions, MemoryTracker* tracker, EngineMode mode) {
-  keys.resize(static_cast<size_t>(partitions));
+MapSegment::MapSegment(int partitions, MemoryTracker* tracker, EngineMode mode)
+    : runs(static_cast<size_t>(partitions)) {
   if (mode == EngineMode::kBaseline) {
     wire.resize(static_cast<size_t>(partitions));
-    wire_offsets.resize(static_cast<size_t>(partitions));
-  } else {
-    native.reserve(static_cast<size_t>(partitions));
-    for (int i = 0; i < partitions; ++i) {
-      native.emplace_back(tracker);
+    return;
+  }
+  for (int i = 0; i < partitions; ++i) {
+    native.emplace_back(tracker);
+  }
+}
+
+void EncodeMapSegments(const std::vector<MapSegment>& segments, ByteBuffer* out) {
+  const size_t start = out->size();
+  out->WriteU32(static_cast<uint32_t>(segments.size()));
+  for (const MapSegment& segment : segments) {
+    for (size_t r = 0; r < segment.runs.size(); ++r) {
+      out->WriteU32(static_cast<uint32_t>(segment.runs[r].size()));
+      for (const MapSegment::Run& run : segment.runs[r]) {
+        out->WriteU8(run.key.is_string ? 1 : 0);
+        out->WriteI64(run.key.i);
+        out->WriteU32(static_cast<uint32_t>(run.key.s.size()));
+        out->WriteBytes(reinterpret_cast<const uint8_t*>(run.key.s.data()), run.key.s.size());
+        out->WriteU32(run.count);
+      }
+      segment.native[r].SerializeTo(*out);
     }
   }
+  SealHash hash;
+  hash.Update(out->data() + start, out->size() - start);
+  out->WriteU64(hash.digest());
+}
+
+std::vector<MapSegment> DecodeMapSegments(ByteReader* in, int partitions, int task,
+                                          MemoryTracker* tracker) {
+  // Every length is guarded against the remaining bytes before it is read
+  // (ByteReader itself aborts on overrun); the trailing hash then catches
+  // damage that still parses.
+  auto require = [task](bool ok, const char* what) {
+    if (!ok) {
+      throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
+                      std::string("map segment wire bytes ") + what);
+    }
+  };
+  require(in->remaining() >= 8, "truncated before the checksum");
+  std::vector<uint8_t> frame(in->remaining());
+  in->ReadBytes(frame.data(), frame.size());
+  ByteReader body(frame.data(), frame.size() - 8);
+  std::vector<MapSegment> segments;
+  try {
+    require(body.remaining() >= 4, "truncated before the segment count");
+    // Counts are not trusted up front: each item read is guarded, so an
+    // over-large count runs out of bytes instead of allocating.
+    const uint32_t num_segments = body.ReadU32();
+    for (uint32_t n = 0; n < num_segments; ++n) {
+      MapSegment& segment = segments.emplace_back(partitions, tracker, EngineMode::kGerenuk);
+      for (size_t r = 0; r < static_cast<size_t>(partitions); ++r) {
+        require(body.remaining() >= 4, "truncated before a run count");
+        const uint32_t num_runs = body.ReadU32();
+        uint64_t records = 0;
+        for (uint32_t k = 0; k < num_runs; ++k) {
+          ShuffleKey key;
+          require(body.remaining() >= 13, "truncated in a key");
+          key.is_string = body.ReadU8() != 0;
+          key.i = body.ReadI64();
+          const uint32_t len = body.ReadU32();
+          require(body.remaining() >= uint64_t{len} + 4, "truncated in a key");
+          key.s.resize(len);
+          body.ReadBytes(key.s.data(), len);
+          const uint32_t count = body.ReadU32();
+          std::vector<MapSegment::Run>& runs = segment.runs[r];
+          require(count > 0 && (runs.empty() || runs.back().key < key),
+                  "hold an empty or out-of-order run");
+          records += count;
+          runs.push_back({std::move(key), count});
+        }
+        segment.native[r] = NativePartition::Parse(body, tracker);
+        require(records == segment.native[r].record_count(),
+                "disagree with their partition's record count");
+      }
+    }
+    require(body.AtEnd(), "run past the last segment");
+  } catch (const WireFormatError& e) {
+    throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
+                    std::string("map segment failed wire parse: ") + e.what());
+  }
+  SealHash hash;
+  hash.Update(frame.data(), frame.size() - 8);
+  ByteReader trailer(frame.data() + frame.size() - 8, 8);
+  require(hash.digest() == trailer.ReadU64(), "fail their checksum");
+  return segments;
 }
 
 HadoopEngine::HadoopEngine(const HadoopConfig& config)
@@ -73,8 +330,8 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
     combine_c = CompileFn(udfs, combiner_fn);
   }
 
-  std::vector<Segment> segments;
-  ShuffleKey::Hash hasher;
+  // Every spill's segment, in map task order and then spill order.
+  std::vector<MapSegment> segments;
 
   // -------------------------------------------------------------------------
   // Map phase (with sort/spill/combine)
@@ -105,63 +362,41 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                                                             : *key_c.original,
                                      *heap_, *wk_, &layouts_, nullptr);
           ByteBuffer buffer;
-          std::vector<BufferEntry> entries;
+          SortBuffer sort_buffer;
 
           auto spill = [&]() {
-            if (entries.empty()) {
+            if (sort_buffer.empty()) {
               return;
             }
             ctx.stats().spills += 1;
-            std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, mode());
-            size_t i = 0;
-            while (i < entries.size()) {
-              size_t j = i + 1;
-              while (j < entries.size() && entries[j].part == entries[i].part &&
-                     entries[j].key == entries[i].key) {
-                ++j;
-              }
-              int part = entries[i].part;
+            MapSegment segment(reducers, &memory_, mode());
+            sort_buffer.Drain(&segment, [&](int part, const SortBuffer::Entry* first,
+                                             const SortBuffer::Entry* last) -> uint32_t {
               ByteBuffer& out = segment.wire[static_cast<size_t>(part)];
-              if (combiner_fn != nullptr && j - i > 1) {
+              if (combiner_fn != nullptr && last - first > 1) {
                 // Combine the run: deserialize, fold, re-serialize (the cost
                 // Hadoop pays for map-side combining).
-                RootScope scope(*heap_);
-                size_t acc = 0;
-                for (size_t r = i; r < j; ++r) {
+                HeapFold fold(*heap_, combine_interp, combine_c.orig_fn);
+                for (const SortBuffer::Entry* e = first; e < last; ++e) {
                   ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                  ByteReader reader(buffer.data() + entries[r].offset, entries[r].length);
-                  size_t rec = scope.Push(kryo_.Deserialize(out_klass, reader));
-                  if (r == i) {
-                    acc = rec;
-                  } else {
-                    ctx.stats().combine_calls += 1;
-                    Value merged = combine_interp.CallFunction(
-                        combine_c.orig_fn,
-                        {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                         Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                    scope.Set(acc, static_cast<ObjRef>(merged.i));
-                  }
+                  ByteReader reader(buffer.data() + e->at, e->size);
+                  fold.Add(kryo_.Deserialize(out_klass, reader));
                 }
+                ctx.stats().combine_calls += last - first - 1;
                 ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-                segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
-                segment.wire_offsets[static_cast<size_t>(part)].push_back(out.size());
-                kryo_.Serialize(scope.Get(acc), out_klass, out);
-              } else {
-                for (size_t r = i; r < j; ++r) {
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[r].key);
-                  segment.wire_offsets[static_cast<size_t>(part)].push_back(out.size());
-                  out.WriteBytes(buffer.data() + entries[r].offset, entries[r].length);
-                }
+                kryo_.Serialize(fold.result(), out_klass, out);
+                return 1;
               }
-              i = j;
-            }
+              for (const SortBuffer::Entry* e = first; e < last; ++e) {
+                out.WriteBytes(buffer.data() + e->at, e->size);
+              }
+              return static_cast<uint32_t>(last - first);
+            });
             for (const ByteBuffer& out : segment.wire) {
               ctx.stats().shuffle_bytes += static_cast<int64_t>(out.size());
             }
             segments.push_back(std::move(segment));  // serial stage: task order
             buffer.Clear();
-            entries.clear();
           };
 
           size_t cursor = 0;
@@ -171,11 +406,11 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           channel.emit_heap_record = [&](ObjRef ref, const Klass* klass) {
             ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
                                           Value::Ref(static_cast<int64_t>(ref)), key.is_string);
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
             ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
             size_t offset = buffer.size();
             kryo_.Serialize(ref, klass, buffer);
-            entries.push_back({part, std::move(k), offset, buffer.size() - offset, 0, 0});
+            sort_buffer.Add(k, reducers, static_cast<int64_t>(offset),
+                            static_cast<uint32_t>(buffer.size() - offset));
           };
           interp.set_channel(&channel);
           {
@@ -205,92 +440,18 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
     // the reduce input is identical for every worker count.
     const bool map_speculate = ShouldSpeculateFor(map_stage.signature.hash);
     const int map_aborts_before = stats_.aborts;
-    std::vector<std::vector<Segment>> task_segments(static_cast<size_t>(map_tasks));
-    // Process-mode wire codec: a map task's output is its ordered segment
-    // list — per segment, per reducer partition, the sorted key run
-    // ({u8 is_string, i64 i, varlen string}) followed by the partition's
-    // native record bytes (self-delimiting trailer). Hadoop's map output
-    // stays resident in Segments (the IFile analogue that reducers merge
-    // with the key runs alongside the bytes), so it ships whole over the
-    // executor channel rather than routing through the spilling ShuffleRun.
+    std::vector<std::vector<MapSegment>> task_segments(static_cast<size_t>(map_tasks));
+    // Process mode ships a map task's segment list whole over the executor
+    // channel: Hadoop's map output stays resident in segments (the IFile
+    // analogue reducers merge) rather than routing through the spilling
+    // ShuffleRun.
     StageCodec map_codec;
     map_codec.encode = [&](int task, ByteBuffer* out) {
-      const std::vector<Segment>& list = task_segments[static_cast<size_t>(task)];
-      out->WriteU32(static_cast<uint32_t>(list.size()));
-      for (const Segment& segment : list) {
-        for (int r = 0; r < reducers; ++r) {
-          const std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
-          out->WriteU32(static_cast<uint32_t>(ks.size()));
-          for (const ShuffleKey& k : ks) {
-            out->WriteU8(k.is_string ? 1 : 0);
-            out->WriteI64(k.i);
-            out->WriteString(k.s);
-          }
-          segment.native[static_cast<size_t>(r)].SerializeTo(*out);
-        }
-      }
+      EncodeMapSegments(task_segments[static_cast<size_t>(task)], out);
     };
     map_codec.decode = [&](int task, ByteReader* in) {
-      // Fail closed on structural damage: guard every length against the
-      // frame's remaining bytes before reading (ByteReader itself aborts on
-      // overrun), and reclassify as the non-retryable kCorruptInput.
-      auto require = [task](bool ok) {
-        if (!ok) {
-          throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                          "map segment wire bytes truncated or over-long");
-        }
-      };
-      // ByteReader::ReadString aborts on an over-long varlen; decode the
-      // prefix by hand so a damaged length fails closed instead.
-      auto read_string = [&require](ByteReader* in) {
-        uint32_t len = 0;
-        int shift = 0;
-        while (true) {
-          require(in->remaining() >= 1);
-          uint8_t byte = in->ReadU8();
-          len |= static_cast<uint32_t>(byte & 0x7f) << shift;
-          if ((byte & 0x80) == 0) {
-            break;
-          }
-          shift += 7;
-          require(shift <= 28);
-        }
-        require(len <= in->remaining());
-        std::string s(len, '\0');
-        if (len > 0) {
-          in->ReadBytes(&s[0], len);
-        }
-        return s;
-      };
-      std::vector<Segment>& list = task_segments[static_cast<size_t>(task)];
-      list.clear();
-      try {
-        require(in->remaining() >= 4);
-        uint32_t num_segments = in->ReadU32();
-        for (uint32_t s = 0; s < num_segments; ++s) {
-          require(in->remaining() >= 4);  // a segment is at least one key count
-          Segment segment(reducers, &memory_, mode());
-          for (int r = 0; r < reducers; ++r) {
-            require(in->remaining() >= 4);
-            uint32_t num_keys = in->ReadU32();
-            // Each key is >= 10 bytes (u8 + i64 + 1-byte varlen).
-            require(num_keys <= in->remaining() / 10);
-            std::vector<ShuffleKey>& ks = segment.keys[static_cast<size_t>(r)];
-            ks.resize(num_keys);
-            for (uint32_t k = 0; k < num_keys; ++k) {
-              require(in->remaining() >= 10);
-              ks[k].is_string = in->ReadU8() != 0;
-              ks[k].i = in->ReadI64();
-              ks[k].s = read_string(in);
-            }
-            segment.native[static_cast<size_t>(r)] = NativePartition::Parse(*in, &memory_);
-          }
-          list.push_back(std::move(segment));
-        }
-      } catch (const WireFormatError& e) {
-        throw TaskError(TaskErrorKind::kCorruptInput, task, 1, 0,
-                        std::string("map segment failed wire parse: ") + e.what());
-      }
+      task_segments[static_cast<size_t>(task)].clear();  // nothing partial on a throw
+      task_segments[static_cast<size_t>(task)] = DecodeMapSegments(in, reducers, task, &memory_);
     };
     TraceSpan map_span(DriverSink(), TraceEventType::kStage, "map");
     RunWorkerStage(
@@ -299,49 +460,40 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           ctx.stats().map_tasks += 1;
           ctx.stats().tasks_run += 1;
           int64_t shuffle_before = ctx.stats().shuffle_bytes;
-          std::vector<Segment>& local_segments = task_segments[static_cast<size_t>(task)];
+          std::vector<MapSegment>& local_segments = task_segments[static_cast<size_t>(task)];
           SerExecutor exec(ctx.heap(), ctx.wk(), layouts_, *map_stage.original,
                            *map_stage.transformed);
           auto region = std::make_unique<NativePartition>(&memory_);  // map output region
-          std::vector<BufferEntry> entries;
+          SortBuffer sort_buffer;
           // Governor-degraded tasks never combine; others stop after an abort.
           bool skip_combiner = !map_speculate;
 
           auto spill = [&]() {
-            if (entries.empty()) {
+            if (sort_buffer.empty()) {
               return;
             }
             ctx.stats().spills += 1;
-            std::sort(entries.begin(), entries.end(), EntryOrder);
-            Segment segment(reducers, &memory_, mode());
+            MapSegment segment(reducers, &memory_, mode());
             BuilderStore builders(layouts_);
             std::unique_ptr<SerRunner> combine_runner = MakeFastRunner(
                 combiner_fn != nullptr ? combine_c.plan.get() : key_c.plan.get(),
                 combiner_fn != nullptr ? *combine_c.transformed : *key_c.transformed,
                 ctx.heap(), ctx.wk(), &layouts_, &builders);
             NativeFolder folder(combine_c.fast_fn, combine_c.acc_fn, out_klass, region.get());
-            size_t i = 0;
-            while (i < entries.size()) {
-              size_t j = i + 1;
-              while (j < entries.size() && entries[j].part == entries[i].part &&
-                     entries[j].key == entries[i].key) {
-                ++j;
-              }
-              int part = entries[i].part;
+            sort_buffer.Drain(&segment, [&](int part, const SortBuffer::Entry* first,
+                                             const SortBuffer::Entry* last) -> uint32_t {
               NativePartition& out = segment.native[static_cast<size_t>(part)];
-              bool combined = false;
-              if (combiner_fn != nullptr && !skip_combiner && j - i > 1) {
+              if (combiner_fn != nullptr && !skip_combiner && last - first > 1) {
                 try {
                   // Intermediates land in the map output region, which dies
                   // wholesale after the spill.
-                  FoldAcc acc{entries[i].addr, entries[i].size, false};
-                  for (size_t r = i + 1; r < j; ++r) {
+                  FoldAcc acc{first->at, first->size, false};
+                  for (const SortBuffer::Entry* e = first + 1; e < last; ++e) {
                     ctx.stats().combine_calls += 1;
-                    folder.Fold(*combine_runner, builders, &acc, entries[r].addr);
+                    folder.Fold(*combine_runner, builders, &acc, e->at);
                   }
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[i].key);
                   out.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
-                  combined = true;
+                  return 1;
                 } catch (const SerAbort& abort) {
                   // Not an EngineStats abort: the map output already
                   // committed, and the speculation governor must not see a
@@ -353,22 +505,17 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                   skip_combiner = true;  // keep correctness, drop the optimization
                 }
               }
-              if (!combined) {
-                for (size_t r = i; r < j; ++r) {
-                  segment.keys[static_cast<size_t>(part)].push_back(entries[r].key);
-                  out.AppendRecord(reinterpret_cast<const uint8_t*>(entries[r].addr),
-                                   entries[r].size);
-                }
+              for (const SortBuffer::Entry* e = first; e < last; ++e) {
+                out.AppendRecord(reinterpret_cast<const uint8_t*>(e->at), e->size);
               }
-              i = j;
-            }
+              return static_cast<uint32_t>(last - first);
+            });
             for (const NativePartition& out : segment.native) {
               ctx.stats().shuffle_bytes += out.bytes_used();
             }
             local_segments.push_back(std::move(segment));
             // Region-based reclamation: the spilled map outputs die wholesale.
             *region = NativePartition(&memory_);
-            entries.clear();
           };
 
           TaskIo io;
@@ -378,25 +525,24 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           if (key_c.plan != nullptr) {
             io.extra_plans.push_back(key_c.plan.get());
           }
-          // Scratch key: extraction reuses the string buffer; the per-entry
-          // copy below is unavoidable (entries own their keys), but the
-          // extraction-side allocation is saved once the buffer warms up.
+          // Scratch key: extraction reuses the string buffer, and the sort
+          // buffer copies a key only the first time a spill sees it.
           auto scratch_key = std::make_shared<ShuffleKey>();
+          auto add = [&](int64_t committed, uint32_t size) {
+            sort_buffer.Add(*scratch_key, reducers, committed, size);
+            if (region->bytes_used() > static_cast<int64_t>(sort_buffer_bytes_)) {
+              spill();
+            }
+          };
           io.emit_native = [&, scratch_key](int64_t addr, const Klass* klass, SerRunner& interp,
                                             BuilderStore& builders) {
             if (EvalShuffleKeyInto(interp, key_c.fast_fn, Value::Addr(addr), key.is_string,
                                    scratch_key.get())) {
               ctx.stats().key_allocs_saved += 1;
             }
-            const ShuffleKey& k = *scratch_key;
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
             int64_t before = region->bytes_used();
             int64_t committed = builders.Render(addr, klass, *region);
-            entries.push_back({part, k, 0, 0, committed,
-                               static_cast<uint32_t>(region->bytes_used() - before - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(sort_buffer_bytes_)) {
-              spill();
-            }
+            add(committed, static_cast<uint32_t>(region->bytes_used() - before - 4));
           };
           // Slow path after an abort: records come off the heap but stay in
           // native form for the shuffle. The key interpreter is built once
@@ -413,24 +559,17 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
                                    scratch_key.get())) {
               ctx.stats().key_allocs_saved += 1;
             }
-            const ShuffleKey& k = *scratch_key;
-            int part = static_cast<int>(hasher(k) % static_cast<size_t>(reducers));
             ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
             ByteBuffer record;
             ctx.serde().WriteRecord(ref, klass, record);
-            int64_t committed =
-                region->AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
-            entries.push_back({part, k, 0, 0, committed,
-                               static_cast<uint32_t>(record.size() - 4)});
-            if (region->bytes_used() > static_cast<int64_t>(sort_buffer_bytes_)) {
-              spill();
-            }
+            const uint32_t size = static_cast<uint32_t>(record.size() - 4);
+            add(region->AppendRecord(record.data() + 4, size), size);
           };
           io.on_abort = [&] {
             // Tear down everything this task produced: unspilled entries, the
             // output region, and its already-spilled segments. Sibling tasks'
             // segments live in their own lists and are untouched.
-            entries.clear();
+            sort_buffer.Clear();
             *region = NativePartition(&memory_);
             local_segments.clear();
             skip_combiner = true;
@@ -452,41 +591,17 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
       ObserveSpeculation(map_stage.signature.hash, map_tasks, stats_.aborts - map_aborts_before);
     }
     for (auto& list : task_segments) {
-      for (Segment& segment : list) {
+      for (MapSegment& segment : list) {
         segments.push_back(std::move(segment));
       }
     }
   }
 
   // -------------------------------------------------------------------------
-  // Reduce phase (merge + group + fold)
+  // Reduce phase (merge runs + fold)
   // -------------------------------------------------------------------------
   auto out = std::make_shared<Dataset>(*heap_, out_klass, reducers, &memory_);
   ClaimTaskOrdinals(reducers);
-
-  // Gathers one reducer's runs from every segment, sorted by key. Segments
-  // are complete and read-only by now (the map-stage barrier), so reduce
-  // tasks may build this concurrently.
-  struct SegRef {
-    const Segment* segment;
-    size_t index;
-  };
-  auto build_refs = [&segments](int r) {
-    std::vector<SegRef> refs;
-    for (const Segment& segment : segments) {
-      for (size_t i = 0; i < segment.keys[static_cast<size_t>(r)].size(); ++i) {
-        refs.push_back({&segment, i});
-      }
-    }
-    std::sort(refs.begin(), refs.end(), [r](const SegRef& a, const SegRef& b) {
-      return a.segment->keys[static_cast<size_t>(r)][a.index] <
-             b.segment->keys[static_cast<size_t>(r)][b.index];
-    });
-    return refs;
-  };
-  auto key_at = [](const SegRef& ref, int r) -> const ShuffleKey& {
-    return ref.segment->keys[static_cast<size_t>(r)][ref.index];
-  };
 
   if (mode() == EngineMode::kBaseline) {
     TraceSpan reduce_span(DriverSink(), TraceEventType::kStage, "reduce");
@@ -496,7 +611,13 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           ctx.stats().reduce_tasks += 1;
           ctx.stats().tasks_run += 1;
           heap_->set_phase_times(&ctx.stats().times);
-          std::vector<SegRef> refs = build_refs(r);
+          // The merge visits each segment's runs in order, so every segment
+          // is read front to back.
+          std::vector<ByteReader> readers;
+          for (const MapSegment& segment : segments) {
+            const ByteBuffer& wire = segment.wire[static_cast<size_t>(r)];
+            readers.emplace_back(wire.data(), wire.size());
+          }
           Interpreter reduce_interp(*reduce_c.original, *heap_, *wk_, &layouts_, nullptr);
           if (epochs) {
             heap_->EpochStart();
@@ -504,40 +625,20 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           {
             ComputePhaseScope compute(ctx.stats().times);
             std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(r)];
-            size_t i = 0;
-            while (i < refs.size()) {
-              size_t j = i + 1;
-              while (j < refs.size() && key_at(refs[j], r) == key_at(refs[i], r)) {
-                ++j;
-              }
-              RootScope scope(*heap_);
-              size_t acc = 0;
-              for (size_t v = i; v < j; ++v) {
-                const Segment& seg = *refs[v].segment;
-                size_t idx = refs[v].index;
+            MergeRuns(segments, r, [&](const std::vector<RunSource>& sources) {
+              HeapFold fold(*heap_, reduce_interp, reduce_c.orig_fn);
+              ForEachRecord(sources, [&](size_t s, size_t, bool) {
                 ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                const ByteBuffer& wire = seg.wire[static_cast<size_t>(r)];
-                size_t off = seg.wire_offsets[static_cast<size_t>(r)][idx];
-                ByteReader reader(wire.data() + off, wire.size() - off);
-                size_t rec = scope.Push(kryo_.Deserialize(out_klass, reader));
-                if (v == i) {
-                  acc = rec;
-                } else {
-                  Value merged = reduce_interp.CallFunction(
-                      reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                                         Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                  scope.Set(acc, static_cast<ObjRef>(merged.i));
-                }
-              }
+                fold.Add(kryo_.Deserialize(out_klass, readers[s]));
+              });
               // Final output write ("HDFS"): the baseline serializes once more.
               {
                 ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
                 ByteBuffer sink;
-                kryo_.Serialize(scope.Get(acc), out_klass, sink);
+                kryo_.Serialize(fold.result(), out_klass, sink);
               }
-              out_part.push_back(scope.Get(acc));
-              i = j;
-            }
+              out_part.push_back(fold.result());
+            });
             if (epochs) {
               heap_->EpochEnd();  // output records escape via out_part's roots
             }
@@ -561,7 +662,6 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
         ctx.stats().reduce_tasks += 1;
         ctx.stats().tasks_run += 1;
         ctx.heap().set_phase_times(&ctx.stats().times);
-        std::vector<SegRef> refs = build_refs(r);
         NativePartition& out_part = out->native_parts[static_cast<size_t>(r)];
         BuilderStore builders(layouts_);
         std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
@@ -575,24 +675,20 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
         // group's slow_path span so the two never overlap.
         TraceSink* sink = ctx.trace_sink();
         int64_t fast_start = (reduce_speculate && sink != nullptr) ? sink->Now() : -1;
-        size_t i = 0;
-        while (i < refs.size()) {
-          size_t j = i + 1;
-          while (j < refs.size() && key_at(refs[j], r) == key_at(refs[i], r)) {
-            ++j;
-          }
-          auto addr_of = [r](const SegRef& ref) {
-            return ref.segment->native[static_cast<size_t>(r)].record_addr(ref.index);
-          };
-          auto size_of = [r](const SegRef& ref) {
-            return ref.segment->native[static_cast<size_t>(r)].record_size(ref.index);
-          };
+        auto input_of = [&](size_t s) -> const NativePartition& {
+          return segments[s].native[static_cast<size_t>(r)];
+        };
+        MergeRuns(segments, r, [&](const std::vector<RunSource>& sources) {
           bool fast_ok = reduce_speculate;
           if (reduce_speculate) try {
-            FoldAcc acc{addr_of(refs[i]), size_of(refs[i]), false};
-            for (size_t v = i + 1; v < j; ++v) {
-              folder.Fold(*reduce_runner, builders, &acc, addr_of(refs[v]));
-            }
+            FoldAcc acc;
+            ForEachRecord(sources, [&](size_t s, size_t i, bool first) {
+              if (first) {
+                acc = {input_of(s).record_addr(i), input_of(s).record_size(i), false};
+              } else {
+                folder.Fold(*reduce_runner, builders, &acc, input_of(s).record_addr(i));
+              }
+            });
             out_part.AppendRecord(reinterpret_cast<const uint8_t*>(acc.addr), acc.size);
           } catch (const SerAbort& abort) {
             // Re-execute this group on the slow path, inside the same worker.
@@ -607,32 +703,22 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
             TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path",
                                 reduce_speculate ? 0 : 1);
             builders.Clear();
-            RootScope scope(ctx.heap());
-            size_t acc = 0;
-            for (size_t v = i; v < j; ++v) {
+            HeapFold fold(ctx.heap(), slow_interp, reduce_c.orig_fn);
+            ForEachRecord(sources, [&](size_t s, size_t i, bool) {
               ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-              ByteReader reader(reinterpret_cast<const uint8_t*>(addr_of(refs[v])),
-                                size_of(refs[v]));
-              size_t rec = scope.Push(ctx.serde().ReadBody(out_klass, reader));
-              if (v == i) {
-                acc = rec;
-              } else {
-                Value merged = slow_interp.CallFunction(
-                    reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(scope.Get(acc))),
-                                       Value::Ref(static_cast<int64_t>(scope.Get(rec)))});
-                scope.Set(acc, static_cast<ObjRef>(merged.i));
-              }
-            }
+              ByteReader reader(reinterpret_cast<const uint8_t*>(input_of(s).record_addr(i)),
+                                input_of(s).record_size(i));
+              fold.Add(ctx.serde().ReadBody(out_klass, reader));
+            });
             ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
             ByteBuffer record;
-            ctx.serde().WriteRecord(scope.Get(acc), out_klass, record);
+            ctx.serde().WriteRecord(fold.result(), out_klass, record);
             out_part.AppendRecord(record.data() + 4, static_cast<uint32_t>(record.size() - 4));
           }
           if (!fast_ok && reduce_speculate && sink != nullptr) {
             fast_start = sink->Now();  // the next group's fold run
           }
-          i = j;
-        }
+        });
         if (reduce_speculate && sink != nullptr) {
           sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
         }

@@ -1,10 +1,16 @@
 // A miniature Hadoop MapReduce: the second system the paper transforms.
 //
-// A job runs map tasks over input splits; each map emits (key, value)
-// records into a sort buffer that is partitioned by reducer, sorted by key,
-// optionally run through a combiner, and spilled to IFile-like segments.
-// Reducers merge their partition's runs from every segment, group equal
-// keys, and fold each group with the reduce function.
+// A job runs map tasks over input splits. Each emit joins its (reducer
+// partition, key) group in the map task's sort buffer; a spill sorts the
+// distinct keys, optionally runs each key's records through a combiner, and
+// writes an IFile-like segment of key runs: per partition, one run per key,
+// in key order, holding the key, its record count and its records. Reducers
+// merge their partition's runs from every segment by key and fold each
+// key's records with the reduce function.
+//
+// Value order: a key's records reach the combiner and the reducer in map
+// task order, then spill order, then emit order — the same in both modes,
+// at any worker count and in process mode.
 //
 // The two engine modes mirror the paper's comparison:
 //   * kBaseline — records are heap objects; the sort buffer and segments
@@ -19,6 +25,7 @@
 #ifndef SRC_MAPREDUCE_HADOOP_H_
 #define SRC_MAPREDUCE_HADOOP_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +58,32 @@ struct HadoopConfig {
   }
 };
 
+// One spilled map-output segment. Per reducer partition: the spill's key
+// runs in ascending key order, and the runs' records back to back in run
+// order — a run's records in emit order, or the one combined record when a
+// combiner folded them. Baseline keeps Kryo bytes; Gerenuk keeps native
+// records.
+struct MapSegment {
+  struct Run {
+    ShuffleKey key;
+    uint32_t count;  // records of this run in the partition's bytes
+  };
+  std::vector<std::vector<Run>> runs;   // per partition
+  std::vector<ByteBuffer> wire;         // kBaseline: concatenated records
+  std::vector<NativePartition> native;  // kGerenuk
+  MapSegment(int partitions, MemoryTracker* tracker, EngineMode mode);
+};
+
+// Process-mode wire codec of one Gerenuk map task's segment list: the
+// segment count; per segment and partition, the run count, each run as
+// {u8 is_string, i64 i, varlen string, u32 count}, then the partition's
+// native wire form; last, a SealHash of every byte before it. Decoding
+// fails closed: a truncated, over-long or damaged list throws
+// TaskError{kCorruptInput} naming `task`, never a fatal bounds check.
+void EncodeMapSegments(const std::vector<MapSegment>& segments, ByteBuffer* out);
+std::vector<MapSegment> DecodeMapSegments(ByteReader* in, int partitions, int task,
+                                          MemoryTracker* tracker);
+
 class HadoopEngine : public EngineCore {
  public:
   explicit HadoopEngine(const HadoopConfig& config);
@@ -70,17 +103,6 @@ class HadoopEngine : public EngineCore {
                     const Function* combiner_fn = nullptr);
 
  private:
-  // One spilled, sorted map-output segment. Per reducer partition: records
-  // in key order. Baseline keeps Kryo bytes; Gerenuk keeps native records.
-  struct Segment {
-    // Per partition, parallel arrays sorted by key.
-    std::vector<std::vector<ShuffleKey>> keys;
-    std::vector<ByteBuffer> wire;                 // kBaseline: concatenated records
-    std::vector<std::vector<size_t>> wire_offsets;
-    std::vector<NativePartition> native;          // kGerenuk
-    explicit Segment(int partitions, MemoryTracker* tracker, EngineMode mode);
-  };
-
   // The Hadoop-specific knobs of HadoopConfig (the engine knobs live in the
   // core's config_).
   const int num_reducers_;

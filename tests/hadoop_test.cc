@@ -1,13 +1,18 @@
 // Integration tests for the mini-Hadoop engine: word-count style jobs with
 // string keys and combiners must match across engine modes, spills must
-// trigger, and the Gerenuk mode must avoid shuffle-time serialization.
+// trigger, the Gerenuk mode must avoid shuffle-time serialization, a key's
+// values reach the reducer in a fixed order, and damaged map-segment wire
+// bytes fail closed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <string>
 
 #include "src/ir/builder.h"
 #include "src/mapreduce/hadoop.h"
+#include "src/support/rng.h"
 #include "src/support/trace.h"
 #include "tests/pair_job.h"
 #include "tests/source_ingest.h"
@@ -319,6 +324,268 @@ TEST(HadoopEngineTest, CompilerStatsAccumulate) {
   w.engine.RunJob(in, w.udfs, w.tokenize, w.word_count, KeySpec{w.word_key, true}, w.sum_counts);
   EXPECT_GT(w.engine.stats().transform.statements_transformed, 20);
   EXPECT_GT(w.engine.stats().transform.functions_transformed, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Value order: a key's records reach the reducer in map task order, then
+// spill order, then emit order.
+// ---------------------------------------------------------------------------
+
+// Tick{key:i64, v:i64} with an order-sensitive, non-commutative reduce
+// acc*31 + v (wrapping): its result spells out the order in which the
+// reducer saw a key's values.
+struct TickJob {
+  static constexpr int64_t kSecond = 1000000;  // offset of each input's second emit
+  HadoopEngine engine;
+  const Klass* tick;
+  SerProgram udfs;
+  const Function* twice;     // flatMap: t -> [(t.key, t.v), (t.key, t.v + kSecond)]
+  const Function* tick_key;  // key: t.key
+  const Function* fold31;    // reduce: (a, b) -> (a.key, a.v * 31 + b.v)
+
+  explicit TickJob(const HadoopConfig& config) : engine(config) {
+    KlassRegistry& reg = engine.heap().klasses();
+    tick = reg.DefineClass("Tick", {
+                                       {"key", FieldKind::kI64, nullptr, 0},
+                                       {"v", FieldKind::kI64, nullptr, 0},
+                                   });
+    engine.RegisterDataType(tick);
+    const Klass* tick_array = reg.Find("Tick[]");
+    {
+      Function* f = udfs.AddFunction("twice");
+      FunctionBuilder b(f);
+      int rec = b.Param("rec", IrType::Ref(tick));
+      f->return_type = IrType::Ref(tick_array);
+      int k = b.FieldLoad(rec, tick, "key");
+      int v = b.FieldLoad(rec, tick, "v");
+      int arr = b.NewArray(tick_array, b.ConstI(2));
+      int first = b.NewObject(tick);
+      b.FieldStore(first, tick, "key", k);
+      b.FieldStore(first, tick, "v", v);
+      b.ArrayStore(arr, b.ConstI(0), first);
+      int second = b.NewObject(tick);
+      b.FieldStore(second, tick, "key", k);
+      b.FieldStore(second, tick, "v", b.BinOp(BinOpKind::kAdd, v, b.ConstI(kSecond)));
+      b.ArrayStore(arr, b.ConstI(1), second);
+      b.Return(arr);
+      b.Done();
+      twice = f;
+    }
+    {
+      Function* f = udfs.AddFunction("tick_key");
+      FunctionBuilder b(f);
+      int rec = b.Param("rec", IrType::Ref(tick));
+      f->return_type = IrType::I64();
+      b.Return(b.FieldLoad(rec, tick, "key"));
+      b.Done();
+      tick_key = f;
+    }
+    {
+      Function* f = udfs.AddFunction("fold31");
+      FunctionBuilder b(f);
+      int a = b.Param("a", IrType::Ref(tick));
+      int c = b.Param("b", IrType::Ref(tick));
+      f->return_type = IrType::Ref(tick);
+      int out = b.NewObject(tick);
+      b.FieldStore(out, tick, "key", b.FieldLoad(a, tick, "key"));
+      int scaled = b.BinOp(BinOpKind::kMul, b.FieldLoad(a, tick, "v"), b.ConstI(31));
+      b.FieldStore(out, tick, "v", b.BinOp(BinOpKind::kAdd, scaled, b.FieldLoad(c, tick, "v")));
+      b.Return(out);
+      b.Done();
+      fold31 = f;
+    }
+  }
+
+  static int64_t KeyOf(int64_t i) { return (i * 7) % 13; }
+
+  // (key, v) per output record, in output order (partition, then record).
+  std::vector<std::pair<int64_t, int64_t>> Run(int64_t inputs) {
+    DatasetPtr in = engine.Source(tick, inputs, [](int64_t i, RecordWriter& w) {
+      w.I64(KeyOf(i));
+      w.I64(i + 1);
+    });
+    DatasetPtr out = engine.RunJob(in, udfs, twice, tick, KeySpec{tick_key, false}, fold31);
+    std::vector<std::pair<int64_t, int64_t>> result;
+    if (engine.mode() == EngineMode::kBaseline) {
+      const int key_at = tick->FindField("key")->offset;
+      const int v_at = tick->FindField("v")->offset;
+      for (const auto& part : out->heap_parts) {
+        for (ObjRef rec : part) {
+          result.emplace_back(engine.heap().GetPrim<int64_t>(rec, key_at),
+                              engine.heap().GetPrim<int64_t>(rec, v_at));
+        }
+      }
+      return result;
+    }
+    std::vector<uint8_t> bytes = DatasetBytes(out);
+    EXPECT_EQ(bytes.size(), static_cast<size_t>(out->TotalRecords()) * 16);
+    for (size_t at = 0; at + 16 <= bytes.size(); at += 16) {
+      int64_t kv[2];
+      std::memcpy(kv, bytes.data() + at, sizeof(kv));
+      result.emplace_back(kv[0], kv[1]);
+    }
+    return result;
+  }
+};
+
+// The fold TickJob's reducer must compute, written out by hand: input i
+// lands in map task i % tasks, each task reads its inputs in ascending i and
+// emits (key, i + 1) then (key, i + 1 + kSecond).
+std::map<int64_t, int64_t> ExpectedTickFolds(int64_t inputs, int tasks) {
+  std::map<int64_t, int64_t> folds;
+  for (int task = 0; task < tasks; ++task) {
+    for (int64_t i = task; i < inputs; i += tasks) {
+      for (int64_t v : {i + 1, i + 1 + TickJob::kSecond}) {
+        auto [it, fresh] = folds.try_emplace(TickJob::KeyOf(i), v);
+        if (!fresh) {
+          it->second = static_cast<int64_t>(static_cast<uint64_t>(it->second) * 31 +
+                                            static_cast<uint64_t>(v));
+        }
+      }
+    }
+  }
+  return folds;
+}
+
+TEST(HadoopEngineTest, ReduceSeesValuesInMapTaskThenSpillThenEmitOrder) {
+  constexpr int64_t kInputs = 3000;
+  auto config_for = [](EngineMode mode, int workers, bool processes) {
+    HadoopConfig config = HadoopWith(workers);
+    config.engine.execution.mode = mode;
+    config.engine.execution.process_executors = processes;
+    config.sort_buffer_bytes = 4 << 10;  // several spills per map task
+    return config;
+  };
+  TickJob baseline(config_for(EngineMode::kBaseline, 1, false));
+  baseline.engine.ResetMetrics();
+  const std::vector<std::pair<int64_t, int64_t>> reference = baseline.Run(kInputs);
+  EXPECT_GT(baseline.engine.stats().spills, baseline.engine.stats().map_tasks);
+  std::map<int64_t, int64_t> folds(reference.begin(), reference.end());
+  ASSERT_EQ(folds.size(), reference.size()) << "one output record per key";
+  EXPECT_EQ(folds, ExpectedTickFolds(kInputs, 4));
+
+  // In-process engines first: process-mode engines must fork from a driver
+  // with no worker threads alive.
+  for (bool processes : {false, true}) {
+    for (int workers : kWorkerCounts) {
+      TickJob job(config_for(EngineMode::kGerenuk, workers, processes));
+      job.engine.ResetMetrics();
+      EXPECT_EQ(job.Run(kInputs), reference) << "workers=" << workers
+                                             << " processes=" << processes;
+      EXPECT_GT(job.engine.stats().spills, job.engine.stats().map_tasks);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Map-segment wire codec: damaged lists fail closed.
+// ---------------------------------------------------------------------------
+
+// A seeded segment list over `partitions` reducers, with integer or string
+// keys, empty partitions and runs of one to three records.
+std::vector<MapSegment> RandomSegments(Rng& rng, int partitions, bool string_keys) {
+  std::vector<MapSegment> segments;
+  for (int s = 0; s < 3; ++s) {
+    MapSegment& segment = segments.emplace_back(partitions, nullptr, EngineMode::kGerenuk);
+    for (int r = 0; r < partitions; ++r) {
+      int64_t key = static_cast<int64_t>(rng.NextBounded(50)) - 25;
+      const int runs = static_cast<int>(rng.NextBounded(5));
+      for (int k = 0; k < runs; ++k) {
+        key += 1 + static_cast<int64_t>(rng.NextBounded(1000));
+        ShuffleKey run_key;
+        run_key.is_string = string_keys;
+        if (string_keys) {
+          run_key.s = "w" + std::to_string(100000 + key);
+        } else {
+          run_key.i = key;
+        }
+        const uint32_t count = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+        for (uint32_t n = 0; n < count; ++n) {
+          std::vector<uint8_t> body(1 + rng.NextBounded(24));
+          for (uint8_t& byte : body) {
+            byte = static_cast<uint8_t>(rng.NextU32());
+          }
+          segment.native[static_cast<size_t>(r)].AppendRecord(body.data(),
+                                                              static_cast<uint32_t>(body.size()));
+        }
+        segment.runs[static_cast<size_t>(r)].push_back({run_key, count});
+      }
+    }
+  }
+  return segments;
+}
+
+bool SameSegments(const std::vector<MapSegment>& a, const std::vector<MapSegment>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.size(); ++s) {
+    for (size_t r = 0; r < a[s].runs.size(); ++r) {
+      const std::vector<MapSegment::Run>& x = a[s].runs[r];
+      const std::vector<MapSegment::Run>& y = b[s].runs[r];
+      if (x.size() != y.size()) {
+        return false;
+      }
+      for (size_t k = 0; k < x.size(); ++k) {
+        if (!(x[k].key == y[k].key) || x[k].count != y[k].count) {
+          return false;
+        }
+      }
+      ByteBuffer wa;
+      ByteBuffer wb;
+      a[s].native[r].SerializeTo(wa);
+      b[s].native[r].SerializeTo(wb);
+      if (wa.size() != wb.size() || std::memcmp(wa.data(), wb.data(), wa.size()) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(MapSegmentCodecTest, TruncatedOrMutatedListsDecodeIdenticallyOrFailClosed) {
+  constexpr int kPartitions = 3;
+  constexpr int kTask = 5;
+  Rng rng(20261017);
+  for (bool string_keys : {false, true}) {
+    const std::vector<MapSegment> segments = RandomSegments(rng, kPartitions, string_keys);
+    ByteBuffer wire;
+    EncodeMapSegments(segments, &wire);
+    const std::vector<uint8_t> bytes(wire.data(), wire.data() + wire.size());
+    // Outcome counts: decoded identically, failed a structural guard, failed
+    // the trailing checksum.
+    int identical = 0;
+    int structural = 0;
+    int checksum = 0;
+    auto decode = [&](const std::vector<uint8_t>& frame, const std::string& what) {
+      ByteReader in(frame.data(), frame.size());
+      try {
+        std::vector<MapSegment> decoded = DecodeMapSegments(&in, kPartitions, kTask, nullptr);
+        EXPECT_TRUE(SameSegments(decoded, segments)) << what;
+        identical += 1;
+      } catch (const TaskError& e) {
+        EXPECT_EQ(e.kind(), TaskErrorKind::kCorruptInput) << what;
+        EXPECT_EQ(e.task_ordinal(), kTask) << what;
+        (e.detail().find("checksum") != std::string::npos ? checksum : structural) += 1;
+      }
+    };
+    decode(bytes, "intact");
+    ASSERT_EQ(identical, 1);
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      decode(std::vector<uint8_t>(bytes.begin(), bytes.begin() + static_cast<long>(len)),
+             "truncated to " + std::to_string(len));
+    }
+    for (int m = 0; m < 300; ++m) {
+      std::vector<uint8_t> damaged = bytes;
+      const size_t at = rng.NextBounded(damaged.size());
+      damaged[at] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+      decode(damaged, "byte " + std::to_string(at) + " mutated");
+    }
+    // Every damaged list failed, and both the guards and the checksum fired.
+    EXPECT_EQ(identical, 1) << "string_keys=" << string_keys;
+    EXPECT_GT(structural, 0) << "string_keys=" << string_keys;
+    EXPECT_GT(checksum, 0) << "string_keys=" << string_keys;
+  }
 }
 
 // ---------------------------------------------------------------------------
