@@ -48,8 +48,11 @@ ShuffleKey EvalShuffleKey(SerRunner& runner, const Function* key_fn, Value recor
 
 bool EvalShuffleKeyInto(SerRunner& runner, const Function* key_fn, Value record,
                         bool is_string, ShuffleKey* key) {
+  return ShuffleKeyInto(runner, runner.CallFunction(key_fn, &record, 1), is_string, key);
+}
+
+bool ShuffleKeyInto(SerRunner& runner, Value v, bool is_string, ShuffleKey* key) {
   key->is_string = is_string;
-  Value v = runner.CallFunction(key_fn, &record, 1);
   if (is_string) {
     size_t capacity_before = key->s.capacity();
     runner.ReadStringBytes(v, &key->s);

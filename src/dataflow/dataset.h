@@ -84,6 +84,8 @@ ShuffleKey EvalShuffleKey(SerRunner& runner, const Function* key_fn, Value recor
 // involve no allocation and return false.
 bool EvalShuffleKeyInto(SerRunner& runner, const Function* key_fn, Value record,
                         bool is_string, ShuffleKey* key);
+// The same from a key function's return value `v`.
+bool ShuffleKeyInto(SerRunner& runner, Value v, bool is_string, ShuffleKey* key);
 
 }  // namespace gerenuk
 

@@ -2,36 +2,32 @@
 
 #include <cstring>
 
+#include "src/transform/emit_fold.h"
+
 namespace gerenuk {
-
-namespace {
-
-bool PrimFieldsAreWide(const Klass* klass) {
-  for (const FieldInfo& field : klass->fields()) {
-    if (field.kind != FieldKind::kRef && field.kind != FieldKind::kI64 &&
-        field.kind != FieldKind::kF64) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 void NativeFolder::Fold(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec) {
   if (acc_fn_ != nullptr) {
-    if (!acc->owned) {
-      acc->addr = scratch_->AppendRecord(reinterpret_cast<const uint8_t*>(acc->addr), acc->size);
-      acc->owned = true;
-    }
-    // The accumulate form writes without the committed-record refusal:
-    // only ever hand it bytes this fold owns.
-    GERENUK_CHECK(acc->owned && !IsBuilderAddr(acc->addr));
+    Own(acc);
     const Value args[2] = {Value::Addr(acc->addr), Value::Addr(rec)};
     if (runner.CallFunction(acc_fn_, args, 2).i != 0) {
       return;
     }
   }
+  Reduce(runner, builders, acc, rec);
+}
+
+void NativeFolder::Own(FoldAcc* acc) {
+  if (!acc->owned) {
+    acc->addr = scratch_->AppendRecord(reinterpret_cast<const uint8_t*>(acc->addr), acc->size);
+    acc->owned = true;
+  }
+  // The accumulate form writes without the committed-record refusal: only
+  // ever hand it bytes this fold owns.
+  GERENUK_CHECK(acc->owned && !IsBuilderAddr(acc->addr));
+}
+
+void NativeFolder::Reduce(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec) {
   const size_t mark = builders.size();
   const Value args[2] = {Value::Addr(acc->addr), Value::Addr(rec)};
   const int64_t result = runner.CallFunction(fn_, args, 2).i;
@@ -81,6 +77,18 @@ void KeyedNativeFold::Add(SerRunner& runner, BuilderStore& builders, const Shuff
 
 void KeyedNativeFold::AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key,
                                  int64_t addr, const Klass* klass) {
+  FoldAcc* acc = LookupEmitted(builders, key, addr, klass);
+  if (acc == nullptr) {
+    return;
+  }
+  if (!builder_reads_exact_) {
+    addr = Stage(builders, addr, klass);
+  }
+  FoldInto(runner, builders, acc, addr);
+}
+
+FoldAcc* KeyedNativeFold::LookupEmitted(BuilderStore& builders, const ShuffleKey& key,
+                                        int64_t addr, const Klass* klass) {
   bool inserted = false;
   FoldAcc* acc = Lookup(key, &inserted);
   if (inserted) {
@@ -88,14 +96,40 @@ void KeyedNativeFold::AddEmitted(SerRunner& runner, BuilderStore& builders, cons
     const uint32_t size = scratch_.record_size(scratch_.record_count() - 1);
     *acc = FoldAcc{body, size, true};
     owned_bytes_ += 4 + int64_t{size};
-    return;
+    return nullptr;
   }
-  if (IsBuilderAddr(addr) && !builder_reads_exact_) {
-    staged_.Clear();
-    builders.RenderBody(addr, klass, staged_);
-    addr = reinterpret_cast<int64_t>(staged_.data());
+  return acc;
+}
+
+int64_t KeyedNativeFold::Slot(BuilderStore& builders, const ShuffleKey& key, int64_t addr,
+                              const Klass* klass) {
+  FoldAcc* acc = LookupEmitted(builders, key, addr, klass);
+  if (acc == nullptr) {
+    return 0;
   }
-  FoldInto(runner, builders, acc, addr);
+  folds_ += 1;
+  folder_.Own(acc);
+  return acc->addr;
+}
+
+int64_t KeyedNativeFold::Stage(BuilderStore& builders, int64_t addr, const Klass* klass) {
+  if (!IsBuilderAddr(addr)) {
+    return addr;
+  }
+  staged_.Clear();
+  builders.RenderBody(addr, klass, staged_);
+  return reinterpret_cast<int64_t>(staged_.data());
+}
+
+void KeyedNativeFold::Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key,
+                             int64_t rec) {
+  bool inserted = false;
+  FoldAcc* acc = Lookup(key, &inserted);
+  GERENUK_CHECK(!inserted && acc->owned);
+  const int64_t before = 4 + int64_t{acc->size};
+  folder_.Reduce(runner, builders, acc, rec);
+  owned_bytes_ += 4 + int64_t{acc->size} - before;
+  MaybeCompact();
 }
 
 void KeyedNativeFold::FoldInto(SerRunner& runner, BuilderStore& builders, FoldAcc* acc,

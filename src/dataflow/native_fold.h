@@ -45,6 +45,11 @@ class NativeFolder {
   // the caller allocated earlier stay live. Throws SerAbort when `fn`
   // aborts; `*acc` then still holds the same value.
   void Fold(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec);
+  // The two halves of Fold: copies an input-record accumulator into the
+  // scratch region, so the accumulate form may write it; and folds with `fn`
+  // itself, rendering its result over the accumulator.
+  void Own(FoldAcc* acc);
+  void Reduce(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec);
 
  private:
   const Function* fn_;
@@ -75,6 +80,16 @@ class KeyedNativeFold {
   // about to be reused: a first-seen key renders it into the scratch region.
   void AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t addr,
                   const Klass* klass);
+  // AddEmitted in the three steps a composed map stage's kFoldSlot
+  // statements take (EmitFold): Slot renders a first-seen key's record and
+  // returns 0, or counts a fold and returns the key's owned accumulator for
+  // the inlined accumulate form to write; Stage renders a builder into a
+  // staging buffer (K with fields narrower than 8 bytes) and returns its
+  // address, valid until the next Stage; Reduce folds with `fn` when the
+  // accumulate form declined.
+  int64_t Slot(BuilderStore& builders, const ShuffleKey& key, int64_t addr, const Klass* klass);
+  int64_t Stage(BuilderStore& builders, int64_t addr, const Klass* klass);
+  void Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t rec);
   // Moves one record per key, in first-seen key order, into `out`. Hands the
   // scratch region itself over when `out` is empty and the region already
   // holds exactly that, so call it once, last.
@@ -86,6 +101,10 @@ class KeyedNativeFold {
 
  private:
   FoldAcc* Lookup(const ShuffleKey& key, bool* inserted);
+  // Null when `key` is first seen: its record is then rendered as the
+  // accumulator.
+  FoldAcc* LookupEmitted(BuilderStore& builders, const ShuffleKey& key, int64_t addr,
+                         const Klass* klass);
   void FoldInto(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec);
   // Copies the owned accumulators into a fresh region once superseded
   // results dominate the scratch region.

@@ -84,6 +84,41 @@ class TaskBroadcast {
   bool rooted_ = false;
 };
 
+// The map task's side of a composed stage's kFoldSlot statements: one keyed
+// table per reduce bucket, picked by the key's hash exactly as a rendered
+// record's bucket would be.
+class BucketFolds : public EmitFold {
+ public:
+  BucketFolds(std::deque<KeyedNativeFold>* tables, const Klass* klass, bool key_is_string,
+              EngineStats* stats)
+      : tables_(tables), klass_(klass), key_is_string_(key_is_string), stats_(stats) {}
+
+  int64_t Slot(FoldSlotMode mode, int64_t record, Value key, SerRunner& runner,
+               BuilderStore& builders) override {
+    if (ShuffleKeyInto(runner, key, key_is_string_, &key_)) {
+      stats_->key_allocs_saved += 1;
+    }
+    KeyedNativeFold& table = (*tables_)[ShuffleKey::Hash()(key_) % tables_->size()];
+    switch (mode) {
+      case FoldSlotMode::kLookup:
+        return table.Slot(builders, key_, record, klass_);
+      case FoldSlotMode::kStage:
+        return table.Stage(builders, record, klass_);
+      case FoldSlotMode::kReduce:
+        table.Reduce(runner, builders, key_, record);
+        return 0;
+    }
+    return 0;
+  }
+
+ private:
+  std::deque<KeyedNativeFold>* tables_;
+  const Klass* klass_;
+  bool key_is_string_;
+  EngineStats* stats_;
+  ShuffleKey key_;  // scratch: the string buffer survives across records
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -281,8 +316,9 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
   const int64_t base = ClaimTaskOrdinals(parts);
   const bool speculate = ShouldSpeculateFor(stage.signature.hash);
   // Governor-degraded tasks never fold. A reduce with an accumulate form
-  // folds at emit time; any other reduce combines the committed buckets.
-  const bool fold_at_emit = speculate && combine_fn != nullptr && combine_fn->acc_fn != nullptr;
+  // folds at the emit sites the stage composed; any other reduce combines
+  // the committed buckets.
+  const bool fold_at_emit = speculate && stage.folds_at_emit;
   const int aborts_before = stats_.aborts;
   ShuffleKeyHash hasher;
   const StageCodec codec = BucketRowCodec(buckets, &memory_);
@@ -300,28 +336,30 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
         TaskBroadcast bc(ctx, broadcast);
         bc.Bind(&io);
         io.plan = stage.plan.get();
-        if (key_fn.plan != nullptr) {
-          io.extra_plans.push_back(key_fn.plan.get());
-        }
-        // Emit-time fold: one keyed table per bucket, fed by the map
-        // runner's emits, so a record is never rendered into its bucket and
-        // read back. Slow-path emits fold through their own fold runner.
+        // Emit-site fold: one keyed table per bucket. The fast path folds
+        // into them from the composed body's kFoldSlot statements, so a
+        // record is never rendered into its bucket and read back; slow-path
+        // emits fold through their own fold runner.
         std::deque<KeyedNativeFold> tables;
         BuilderStore slow_builders(layouts_);
         std::unique_ptr<SerRunner> slow_runner;
+        BucketFolds folds(&tables, stage.out_klass, key.is_string, &ctx.stats());
         if (fold_at_emit) {
           for (size_t b = 0; b < task_buckets.size(); ++b) {
             tables.emplace_back(combine_fn->fast_fn, combine_fn->acc_fn, stage.out_klass,
                                 &memory_);
           }
+          io.fold = &folds;
           if (combine_fn->plan != nullptr) {
-            io.extra_plans.push_back(combine_fn->plan.get());
+            io.extra_plans.push_back(combine_fn->plan.get());  // the declined-fold reduce
           }
+        } else if (key_fn.plan != nullptr) {
+          io.extra_plans.push_back(key_fn.plan.get());
         }
         // Per-task scratch key: the string buffer survives across records,
         // so steady-state extractions allocate nothing.
         auto scratch = std::make_shared<ShuffleKeyValue>();
-        io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, &tables, scratch](
+        io.emit_native = [&ctx, &key_fn, &key, &task_buckets, &hasher, scratch](
                              int64_t addr, const Klass* klass, SerRunner& runner,
                              BuilderStore& builders) {
           // Key extraction runs the transformed key function directly over
@@ -331,10 +369,6 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
             ctx.stats().key_allocs_saved += 1;
           }
           size_t b = hasher(*scratch) % task_buckets.size();
-          if (!tables.empty()) {
-            tables[b].AddEmitted(runner, builders, *scratch, addr, klass);
-            return;
-          }
           int64_t before = task_buckets[b].bytes_used();
           builders.Render(addr, klass, task_buckets[b]);
           ctx.stats().shuffle_bytes += task_buckets[b].bytes_used() - before;
@@ -449,10 +483,11 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
 DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& udfs,
                                     const std::vector<NarrowOp>& pre_ops, const KeySpec& key,
                                     const Function* reduce_fn, const BroadcastVar* broadcast) {
-  CompiledStage stage = CompileStage(input->klass, udfs, pre_ops,
-                                     broadcast != nullptr ? broadcast->klass : nullptr);
   CompiledFn key_c = CompileFn(udfs, key.fn);
   CompiledFn reduce_c = CompileFn(udfs, reduce_fn);
+  const EmitFoldSpec fold{&key_c, &reduce_c};
+  CompiledStage stage = CompileStage(input->klass, udfs, pre_ops,
+                                     broadcast != nullptr ? broadcast->klass : nullptr, &fold);
   const Klass* rec_klass = stage.out_klass;
   auto out = std::make_shared<Dataset>(*heap_, rec_klass, config_.execution.num_partitions, &memory_);
 

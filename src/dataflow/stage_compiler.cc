@@ -7,6 +7,7 @@
 #include "src/ir/builder.h"
 #include "src/support/fnv.h"
 #include "src/transform/accumulate.h"
+#include "src/transform/emit_fold.h"
 
 namespace gerenuk {
 
@@ -67,7 +68,7 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
                                  const std::vector<NarrowOp>& ops, bool has_broadcast,
                                  const Klass* broadcast_klass, TransformStats* stats,
                                  KlassRegistry& registry, PlanCache* cache,
-                                 const PlanOptions& options) {
+                                 const PlanOptions& options, const EmitFoldSpec* fold) {
   StagePrograms stage;
   stage.original = std::make_unique<SerProgram>();
   stage.in_klass = in_klass;
@@ -134,6 +135,14 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
   stage.signature = ComputeProgramSignature(
       mode, layouts, *stage.original,
       {stage.in_klass, stage.out_klass, has_broadcast ? broadcast_klass : nullptr}, options);
+  stage.folds_at_emit = mode == EngineMode::kGerenuk && fold != nullptr &&
+                        fold->reduce->acc_fn != nullptr;
+  if (stage.folds_at_emit) {
+    // The composed body inlines both functions: they are part of its identity.
+    stage.signature.text += "emit fold:\n" + PrintProgram(*fold->key->original) +
+                            PrintProgram(*fold->reduce->original);
+    stage.signature.hash = SealDigest(stage.signature.text.data(), stage.signature.text.size());
+  }
   if (mode == EngineMode::kGerenuk) {
     PlanCache::Entry hit;
     if (cache != nullptr && cache->Lookup(stage.signature, &hit)) {
@@ -141,7 +150,13 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
       stage.plan = hit.plan;
       stage.cache_hit = true;
     } else {
-      stage.transformed = CompileSerProgram(*stage.original, layouts, stats);
+      std::unique_ptr<SerProgram> transformed =
+          CompileSerProgram(*stage.original, layouts, stats);
+      if (stage.folds_at_emit) {
+        ComposeEmitFold(transformed.get(), *fold->key->fast_fn, *fold->reduce->acc_fn,
+                        stage.out_klass);
+      }
+      stage.transformed = std::move(transformed);
     }
   }
   return stage;

@@ -69,6 +69,8 @@ struct StagePrograms {
   // True when `transformed`/`plan` came out of a PlanCache — the transform
   // and CompilePlan were both skipped.
   bool cache_hit = false;
+  // True when `transformed` folds at its emit sites (EmitFoldSpec).
+  bool folds_at_emit = false;
 };
 
 struct CompiledFunction {
@@ -84,6 +86,15 @@ struct CompiledFunction {
   bool cache_hit = false;
 };
 
+// The emit-site fold a Gerenuk-mode ReduceByKey map stage composes into its
+// transformed body (src/transform/emit_fold.h): the stage's key function and
+// its reduce, whose accumulate form folds in place. A reduce without an
+// accumulate form composes nothing.
+struct EmitFoldSpec {
+  const CompiledFunction* key = nullptr;
+  const CompiledFunction* reduce = nullptr;
+};
+
 // Runs SER analysis + Algorithm 1 over `original`, accumulating compiler
 // statistics into `*stats` when non-null.
 std::unique_ptr<SerProgram> CompileSerProgram(const SerProgram& original,
@@ -93,13 +104,17 @@ std::unique_ptr<SerProgram> CompileSerProgram(const SerProgram& original,
 // Builds and (in kGerenuk mode) compiles a fused narrow stage. With a
 // `cache`, a signature hit fills `transformed`/`plan`/`cache_hit` and skips
 // the transform entirely; the caller inserts on miss after compiling the
-// plan (the pool-fold + CompilePlan step lives in EngineCore).
+// plan (the pool-fold + CompilePlan step lives in EngineCore). With a `fold`
+// whose reduce has an accumulate form, the transformed body folds at its
+// emit sites (`StagePrograms::folds_at_emit`), and the key and reduce
+// functions join the signature.
 StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layouts,
                                  const Klass* in_klass, const SerProgram& udfs,
                                  const std::vector<NarrowOp>& ops, bool has_broadcast,
                                  const Klass* broadcast_klass, TransformStats* stats,
                                  KlassRegistry& registry, PlanCache* cache = nullptr,
-                                 const PlanOptions& options = PlanOptions());
+                                 const PlanOptions& options = PlanOptions(),
+                                 const EmitFoldSpec* fold = nullptr);
 
 // Imports and compiles one self-contained function (key/reduce/combine).
 // Same cache contract as CompileNarrowStage.

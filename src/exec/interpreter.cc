@@ -45,6 +45,7 @@ void Interpreter::ReleaseFrame() { active_frames_ -= 1; }
 
 Value Interpreter::CallFunction(const Function* func, const Value* args, size_t nargs) {
   GERENUK_CHECK_EQ(static_cast<int>(nargs), func->num_params);
+  calls_ += 1;
   Frame* frame = AcquireFrame(func);
   for (size_t i = 0; i < nargs; ++i) {
     frame->slots[i] = args[i];
@@ -482,6 +483,15 @@ Value Interpreter::Execute(Frame& frame) {
           NativeWriteFloat(slots[s.a].i, off, s.elem_kind, as_f(s.c));
         } else {
           NativeWriteInt(slots[s.a].i, off, s.elem_kind, as_i(s.c));
+        }
+        break;
+      }
+      case Op::kFoldSlot: {
+        GERENUK_CHECK(channel_ != nullptr && channel_->fold != nullptr);
+        const int64_t slot = channel_->fold->Slot(static_cast<FoldSlotMode>(s.imm.i),
+                                                  slots[s.a].i, slots[s.b], *this, *builders_);
+        if (s.dst >= 0) {
+          slots[s.dst] = Value::Addr(slot);
         }
         break;
       }

@@ -41,6 +41,25 @@ struct EmittedRecord {
   const Klass* klass = nullptr;
 };
 
+class SerRunner;
+
+// The engine side of a composed map stage's kFoldSlot statements
+// (src/transform/emit_fold.h): the map task's keyed fold tables, one per
+// reduce bucket. `key` is the inlined key function's return value; `runner`
+// and `builders` are those of the executing fast path.
+class EmitFold {
+ public:
+  virtual ~EmitFold() = default;
+  // kLookup returns the key's accumulator — committed-format bytes the
+  // table owns, which the inlined accumulate form may write — or 0 after
+  // rendering the record of a first-seen key as its accumulator. kStage
+  // returns the record rendered to committed bytes when it is a builder
+  // (else the record itself). kReduce folds the record into the key's
+  // accumulator with the full reduce and returns 0.
+  virtual int64_t Slot(FoldSlotMode mode, int64_t record, Value key, SerRunner& runner,
+                       BuilderStore& builders) = 0;
+};
+
 // Engine-provided source/sink of records for Deserialize/Serialize (slow
 // path) and GetAddress/GWriteObject (fast path).
 struct RecordChannel {
@@ -59,6 +78,9 @@ struct RecordChannel {
   // reset, so builder ids inside a batch are still live when the sink runs.
   std::function<size_t(int64_t* out, size_t cap)> next_native_batch;
   std::function<void(const EmittedRecord* records, size_t count)> emit_native_batch;
+  // Fast path of a composed map stage: the tables its kFoldSlot statements
+  // fold into (null for every other stage).
+  EmitFold* fold = nullptr;
 };
 
 // The common surface of the two fast-path execution engines — the
@@ -87,6 +109,13 @@ class SerRunner {
 
   // Statements (interpreter) or plan ops (executor) run since construction.
   virtual int64_t statements_executed() const = 0;
+
+  // Function invocations since construction: CallFunction entries plus
+  // calls the running code makes (kCall).
+  int64_t calls() const { return calls_; }
+
+ protected:
+  int64_t calls_ = 0;
 };
 
 // FNV-1a over a byte span — the hashCode/stringHash intrinsic, shared by

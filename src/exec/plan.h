@@ -73,6 +73,7 @@ enum class PlanOpCode : uint8_t {
   kAbort,
   kWriteOwned,             // owned-accumulator field write; expr_id < 0 => imm offset
   kNativeArrayStoreOwned,  // owned-accumulator primitive array element write
+  kFoldSlot,               // dst = channel fold slot (mode in imm; dst < 0 => none)
   // --- fused superinstructions (intermediate dsts are still written, so
   // fusion is invisible to any later reader of those slots) ---
   kBinOpBranch,   // dst = a <binop> b; if (slots[c]) goto target
@@ -109,7 +110,8 @@ enum class PlanOpCode : uint8_t {
   // is a slot id), or the op's immediate payload (mode 2, kVecUnOp only).
   kVecLoopBegin,  // a=induction slot, b=limit slot, c=#columns, d=done slot;
                   // dst=induction column; target=loop exit, target2=scalar
-                  // loop head (bail); imm=#scan ops. Computes n=min(batch,
+                  // loop head (bail); imm=#scan ops; field_index=the loop's
+                  // dense index in its plan. Computes n=min(batch,
                   // limit-i); n<=0 writes done=true and jumps to target.
   kVecBinOp,      // dst col = <binop>(a/c ref/mode, b/d ref/mode) per lane
   kVecUnOp,       // dst col = <unop>(a/c) per lane; b==1 => plain copy or
@@ -212,6 +214,10 @@ struct PlanFunction {
   const SerPlan* plan = nullptr;  // back-pointer (set after all lowering)
   int num_params = 0;
   int num_vars = 0;
+  // A fresh frame's slots: None, except each slot whose only writer was a
+  // constant — the compiler drops those ops and the frame starts with
+  // their values.
+  std::vector<Value> init_slots;
   std::vector<PlanOp> ops;
   std::vector<int32_t> args_pool;  // call/intrinsic argument variable ids
 };
@@ -393,7 +399,13 @@ class PlanExecutor : public RootProvider, public SerRunner {
   // "false = bail": a hazard was detected before any observable side effect,
   // and the dispatch loop jumps to the scalar loop head to replay the strip
   // lane by lane.
-  VecState* VecStateFor(const PlanOp& op, int32_t cap, int32_t ncols, int32_t nscans);
+  // The column states of `plan`'s vec loops, indexed by kVecLoopBegin's
+  // field_index (entries built lazily by VecStateFor).
+  std::unique_ptr<VecState>* VecStatesOf(const SerPlan& plan);
+  static VecState* VecStateFor(std::unique_ptr<VecState>& slot, int32_t cap, int32_t ncols,
+                               int32_t nscans);
+  static bool LanesInBounds(const VecState& st, const int64_t* idxc, int32_t col, int64_t uidx,
+                            int64_t len);
   static bool VecBinOpLanes(VecState& st, const PlanOp& op, const Value* slots);
   static bool VecUnOpLanes(VecState& st, const PlanOp& op, const Value* slots);
   static bool VecScanLanes(VecState& st, const PlanOp& op, const Value* slots);
@@ -427,10 +439,11 @@ class PlanExecutor : public RootProvider, public SerRunner {
   const PlanFunction* last_pf_ = nullptr;
   std::vector<std::unique_ptr<Frame>> frame_pool_;  // [0, active) live
   size_t active_frames_ = 0;
-  // Vectorized-loop scratch, keyed by the kVecLoopBegin op. `vec_cur_` is
-  // the state of the strip currently executing (set by Begin, read by the
-  // body ops — valid because vec bodies contain no calls).
-  std::unordered_map<const PlanOp*, std::unique_ptr<VecState>> vec_states_;
+  // Vectorized-loop scratch, one table per plan that ran a vec loop (a
+  // runner holds one to three plans). `vec_cur_` is the state of the strip
+  // currently executing (set by Begin, read by the body ops — valid because
+  // vec bodies contain no calls).
+  std::vector<std::pair<const SerPlan*, std::vector<std::unique_ptr<VecState>>>> vec_states_;
   VecState* vec_cur_ = nullptr;
   int64_t ops_executed_ = 0;
   // Sampled profiler state (see EnableProfiling). Null profile = off; the

@@ -252,12 +252,13 @@ class PlanBuilder {
     }
 
     // Pass B1b: const hoisting. A kConst whose destination has no other
-    // writer in the function always produces the same value, so it runs
-    // once at function entry instead of (potentially) once per loop
-    // iteration — FunctionBuilder materializes literals right before use,
-    // which puts them inside loop bodies. Builder code always writes a
-    // temp before reading it, so moving the single write earlier is
-    // unobservable; param slots are excluded (the call writes those).
+    // writer in the function always produces the same value, so the frame
+    // starts with it (PlanFunction::init_slots) and the op disappears —
+    // FunctionBuilder materializes literals right before use, which puts
+    // them inside loop bodies. Builder code always writes a temp before
+    // reading it, so an earlier write is unobservable; param slots are
+    // excluded (the call writes those).
+    out->init_slots.assign(static_cast<size_t>(out->num_vars), Value());
     {
       std::vector<int32_t> writes(static_cast<size_t>(out->num_vars), 0);
       for (const PlanOp& op : ops) {
@@ -265,50 +266,30 @@ class PlanBuilder {
           writes[static_cast<size_t>(op.dst)] += 1;
         }
       }
-      std::vector<char> hoist(ops.size(), 0);
-      size_t num_hoisted = 0;
+      std::vector<PlanOp> kept;
+      kept.reserve(ops.size());
+      std::vector<int32_t> remap(ops.size() + 1, 0);
       for (size_t j = 0; j < ops.size(); ++j) {
         const PlanOp& op = ops[j];
+        remap[j] = static_cast<int32_t>(kept.size());
         if (op.code == PlanOpCode::kConst && op.dst >= out->num_params &&
             writes[static_cast<size_t>(op.dst)] == 1) {
-          hoist[j] = 1;
-          ++num_hoisted;
+          out->init_slots[static_cast<size_t>(op.dst)] = Value{op.imm_tag, op.imm, op.fimm};
+        } else {
+          kept.push_back(op);
         }
       }
-      if (num_hoisted > 0) {
-        std::vector<PlanOp> reordered;
-        reordered.reserve(ops.size());
-        for (size_t j = 0; j < ops.size(); ++j) {
-          if (hoist[j]) {
-            reordered.push_back(ops[j]);
-          }
+      // A branch that landed on a dropped const lands on the next op.
+      remap[ops.size()] = static_cast<int32_t>(kept.size());
+      for (PlanOp& op : kept) {
+        if (op.target >= 0) {
+          op.target = remap[static_cast<size_t>(op.target)];
         }
-        std::vector<int32_t> remap(ops.size() + 1, 0);
-        for (size_t j = 0; j < ops.size(); ++j) {
-          if (!hoist[j]) {
-            remap[j] = static_cast<int32_t>(reordered.size());
-            reordered.push_back(ops[j]);
-          }
+        if (op.target2 >= 0) {
+          op.target2 = remap[static_cast<size_t>(op.target2)];
         }
-        remap[ops.size()] = static_cast<int32_t>(reordered.size());
-        // A branch that landed on a hoisted const lands on the next op
-        // instead: the const already ran at entry, and re-running it would
-        // be idempotent anyway.
-        for (size_t j = ops.size(); j-- > 0;) {
-          if (hoist[j]) {
-            remap[j] = remap[j + 1];
-          }
-        }
-        for (PlanOp& op : reordered) {
-          if (op.target >= 0) {
-            op.target = remap[static_cast<size_t>(op.target)];
-          }
-          if (op.target2 >= 0) {
-            op.target2 = remap[static_cast<size_t>(op.target2)];
-          }
-        }
-        ops = std::move(reordered);
       }
+      ops = std::move(kept);
     }
 
     // Pass V: loop vectorization (between const hoisting, which it relies on
@@ -560,26 +541,21 @@ class PlanBuilder {
   void VectorizeLoops(std::vector<PlanOp>* ops_ptr, PlanFunction* out) {
     std::vector<PlanOp>& ops = *ops_ptr;
 
-    // Slots whose only writer is a kConst (post-hoist these sit at function
-    // entry): the step-size check needs their values. Snapshotted by value —
-    // `ops` reallocates on every splice.
+    // Slots that start as an I64 constant and are never written (the
+    // hoisted consts): the step-size check needs their values.
     std::vector<int32_t> writes(static_cast<size_t>(out->num_vars), 0);
-    std::vector<char> const_i64(static_cast<size_t>(out->num_vars), 0);
-    std::vector<int64_t> const_val(static_cast<size_t>(out->num_vars), 0);
     for (const PlanOp& op : ops) {
       if (op.dst >= 0 && static_cast<size_t>(op.dst) < writes.size()) {
         writes[static_cast<size_t>(op.dst)] += 1;
-        bool is_i64_const = op.code == PlanOpCode::kConst && op.imm_tag == ValueTag::kI64;
-        const_i64[static_cast<size_t>(op.dst)] = is_i64_const ? 1 : 0;
-        const_val[static_cast<size_t>(op.dst)] = is_i64_const ? op.imm : 0;
       }
     }
     auto known_i64 = [&](int32_t slot, int64_t* v) {
       if (slot < out->num_params || static_cast<size_t>(slot) >= writes.size()) return false;
-      if (writes[static_cast<size_t>(slot)] != 1 || !const_i64[static_cast<size_t>(slot)]) {
+      const Value& init = out->init_slots[static_cast<size_t>(slot)];
+      if (writes[static_cast<size_t>(slot)] != 0 || init.tag != ValueTag::kI64) {
         return false;
       }
-      *v = const_val[static_cast<size_t>(slot)];
+      *v = init.i;
       return true;
     };
 
@@ -602,7 +578,10 @@ class PlanBuilder {
         continue;
       }
 
-      // Splice [Begin, body..., End] in front of the scalar loop at h.
+      // Splice [Begin, body..., End] in front of the scalar loop at h. Each
+      // Begin gets the plan's next dense loop index: the executor finds the
+      // loop's column state by it, with no lookup per strip.
+      vec.front().field_index = static_cast<int32_t>(plan_->vec_loops_);
       const size_t K = vec.size();
       const int32_t E = ops[h + 1].target;  // loop exit (old index)
       std::vector<PlanOp> spliced;
@@ -971,6 +950,31 @@ class PlanBuilder {
     end.code = PlanOpCode::kVecLoopEnd;
     end.a = i_slot;
     end.dst = kIndCol;
+    // A body slot is always written before the body reads it, so only a
+    // read outside the loop can observe its exit value: the strip writes
+    // back just those slots. (Operand and argument fields outside the loop
+    // are all counted as reads, which over-approximates.)
+    std::vector<char> read_outside(static_cast<size_t>(out->num_vars), 0);
+    auto mark = [&read_outside](int32_t v) {
+      if (v >= 0 && static_cast<size_t>(v) < read_outside.size()) {
+        read_outside[static_cast<size_t>(v)] = 1;
+      }
+    };
+    for (size_t p = 0; p < ops.size(); ++p) {
+      if (p >= h && p <= J) {
+        continue;
+      }
+      const PlanOp& o = ops[p];
+      for (int32_t v : {o.a, o.b, o.c, o.d}) {
+        mark(v);
+      }
+      for (int32_t j = 0; j < o.args_len; ++j) {
+        mark(out->args_pool[static_cast<size_t>(o.args_off + j)]);
+      }
+    }
+    std::erase_if(col_wb, [&read_outside](const std::pair<int32_t, int32_t>& wb) {
+      return !read_outside[static_cast<size_t>(wb.first)];
+    });
     end.args_off = static_cast<int32_t>(out->args_pool.size());
     out->args_pool.push_back(static_cast<int32_t>(col_wb.size()));
     for (const auto& wb : col_wb) {
@@ -1257,6 +1261,10 @@ class PlanBuilder {
         op.code = PlanOpCode::kNativeArrayStoreOwned;
         op.kind = s.elem_kind;
         break;
+      case Op::kFoldSlot:
+        op.code = PlanOpCode::kFoldSlot;
+        op.imm = s.imm.i;
+        break;
     }
     op.float_kind = op.kind == FieldKind::kF32 || op.kind == FieldKind::kF64;
     ops->push_back(op);
@@ -1318,6 +1326,7 @@ const char* PlanOpName(PlanOpCode code) {
     case PlanOpCode::kAbort: return "abort";
     case PlanOpCode::kWriteOwned: return "writeowned";
     case PlanOpCode::kNativeArrayStoreOwned: return "narraystoreowned";
+    case PlanOpCode::kFoldSlot: return "foldslot";
     case PlanOpCode::kBinOpBranch: return "binop+branch";
     case PlanOpCode::kNotBranch: return "not+branch";
     case PlanOpCode::kBinOpJump: return "binop+jump";

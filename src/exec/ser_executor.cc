@@ -50,6 +50,7 @@ bool SerExecutor::RunFastPathIo(TaskIo& io, PhaseTimes& times, SpecOutcome* outc
       }
     };
   }
+  channel.fold = io.fold;
   fast.set_channel(&channel);
 
   const int64_t forced =
@@ -90,6 +91,7 @@ bool SerExecutor::RunFastPathIo(TaskIo& io, PhaseTimes& times, SpecOutcome* outc
       }
     }
   } catch (const SerAbort& abort) {
+    outcome->plan_calls += fast.calls();
     // Buffered emits die with the runner: the abort contract discards every
     // intermediate buffer, and io.on_abort tears down engine-side output.
     // The instant is emitted before fast_span closes, so its timestamp nests
@@ -105,6 +107,7 @@ bool SerExecutor::RunFastPathIo(TaskIo& io, PhaseTimes& times, SpecOutcome* outc
     heap_.set_phase_times(nullptr);
     return false;
   }
+  outcome->plan_calls += fast.calls();
   heap_.set_phase_times(nullptr);
   return true;
 }

@@ -27,6 +27,7 @@ struct SpecOutcome {
   AbortReason abort_reason = AbortReason::kForced;
   int64_t records_processed = 0;
   int64_t records_wasted = 0;  // fast-path work discarded by the abort
+  int64_t plan_calls = 0;      // function invocations of the fast-path runner
 };
 
 // Engine-level task description: where records come from, where emitted
@@ -48,6 +49,9 @@ struct TaskIo {
       emit_native;
   // Slow path: emitted record as a rooted heap object.
   std::function<void(ObjRef, const Klass*, SerRunner& runner)> emit_heap;
+  // Fast path of a composed map stage: the keyed tables its kFoldSlot
+  // statements fold into (src/transform/emit_fold.h).
+  EmitFold* fold = nullptr;
   // Extra body arguments. Fast path gets kAddr values, slow path kRef.
   std::vector<Value> fast_args;
   std::vector<Value> slow_args;

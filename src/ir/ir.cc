@@ -43,6 +43,7 @@ const char* OpName(Op op) {
     case Op::kAbort: return "abort";
     case Op::kWriteOwned: return "writeOwned";
     case Op::kNativeArrayStoreOwned: return "nativeStoreOwned";
+    case Op::kFoldSlot: return "foldSlot";
   }
   return "?";
 }
@@ -301,6 +302,10 @@ std::string PrintFunction(const Function& func) {
       case Op::kNativeArrayStoreOwned:
         out << "nativeStoreOwned(" << VarName(func, s.a) << "[" << VarName(func, s.b) << "], "
             << FieldKindName(s.elem_kind) << ", " << VarName(func, s.c) << ")";
+        break;
+      case Op::kFoldSlot:
+        out << VarName(func, s.dst) << " = foldSlot#" << s.imm.i << "(" << VarName(func, s.a)
+            << ", " << VarName(func, s.b) << ")";
         break;
     }
     out << "\n";

@@ -113,6 +113,17 @@ enum class Op : uint8_t {
   // write refusal of kWriteNative / kNativeArrayStore.
   kWriteOwned,            // writeOwned(a, expr, kind, b)   prim field of a
   kNativeArrayStoreOwned, // a.data[b] = c                  prim array element
+
+  // --- emit-site fold (emitted only by ComposeEmitFold) ---
+  kFoldSlot,              // dst = foldSlot<imm>(a record, b key)  (FoldSlotMode)
+};
+
+// What one kFoldSlot statement asks of the map task's keyed tables (see
+// src/transform/emit_fold.h). The mode rides in Statement::imm.
+enum class FoldSlotMode : uint8_t {
+  kLookup,  // dst = the key's accumulator, or 0 after rendering a first-seen key's record
+  kStage,   // dst = the record rendered to committed bytes (a builder, K with narrow fields)
+  kReduce,  // the accumulate form declined: fold the record with the full reduce
 };
 
 const char* OpName(Op op);

@@ -383,6 +383,7 @@ struct TransformStats {
   X(plans_compiled)                                                           \
   X(plan_cache_hits)                                                          \
   X(key_allocs_saved)                                                         \
+  X(plan_calls)                                                               \
   X(executors_launched)                                                       \
   X(executor_deaths)                                                          \
   X(executor_relaunches)                                                      \
@@ -427,6 +428,11 @@ struct EngineStats {
   // transform and CompilePlan.
   int plan_cache_hits = 0;
   int64_t key_allocs_saved = 0;
+  // Function invocations made by speculating tasks' fast-path runners (the
+  // plan executor, or the interpreter with the plan compiler off): the
+  // per-record entry into the stage body plus every call the body makes.
+  // A stage that folds at its emit sites adds none per emitted record.
+  int64_t plan_calls = 0;
   // Process executors & shuffle service (see DESIGN.md "Process model &
   // shuffle service"). Launch/death/relaunch and the spill counters are
   // driver-side and deterministic; heartbeats_received and
