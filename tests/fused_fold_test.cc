@@ -1,9 +1,12 @@
-// Emit-time folding of ReduceByKey map output (ctest -L faults): a reduce
-// with an accumulate form folds each emitted record into a per-task,
-// per-bucket keyed table instead of rendering it into its bucket. The
-// shipped bytes, the fold and shuffle counters, and the governor's view
-// must not depend on the worker count, on process executors, or on a map
-// task aborting halfway through and refolding on the slow path.
+// Emit-time folding of ReduceByKey map output (ctest -L faults, -L plans,
+// -L vec): a reduce with an accumulate form folds each emitted record into a
+// per-task, per-bucket keyed table instead of rendering it into its bucket,
+// from kFoldSlot statements the stage composed into its transformed body
+// (src/transform/emit_fold.h). The shipped bytes, the fold and shuffle
+// counters, and the governor's view must not depend on the runner, the
+// worker count, process executors, a vec strip bailing inside the inlined
+// accumulate form, or a map task aborting halfway through and refolding on
+// the slow path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,8 @@
 
 #include "src/dataflow/stage_compiler.h"
 #include "src/serde/inline_serializer.h"
+#include "src/support/trace.h"
+#include "src/workloads/spark_workloads.h"
 #include "tests/pair_job.h"
 
 namespace gerenuk {
@@ -242,7 +247,7 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
 }
 
 void ExpectFusedFold(const Run& run, const std::vector<uint8_t>& oracle, bool aborted,
-                     const std::string& label) {
+                     const std::string& label, int64_t calls_per_record) {
   EXPECT_EQ(run.bytes, oracle) << label;
   // The closed forms of MapSideCombineTest: each of the 4 map tasks ships
   // one record (plus its size prefix) for each of the 5 keys it saw, and
@@ -252,7 +257,18 @@ void ExpectFusedFold(const Run& run, const std::vector<uint8_t>& oracle, bool ab
   EXPECT_EQ(run.stats.shuffle_bytes, 4 * 5 * (4 + record_bytes)) << label;
   EXPECT_EQ(run.stats.aborts, aborted ? 1 : 0) << label;
   EXPECT_EQ(run.stats.governor_flips, 0) << label;
+  // The composed stage calls only its body and map UDFs per record: no key
+  // function and no accumulate form per emitted record (a map task that
+  // aborts stops calling early).
+  if (aborted) {
+    EXPECT_LE(run.stats.plan_calls, calls_per_record * kRecords) << label;
+  } else {
+    EXPECT_EQ(run.stats.plan_calls, calls_per_record * kRecords) << label;
+  }
 }
+
+// The stage body, plus `widen` for the mapped sum.
+int64_t CallsPerRecord(Sum sum) { return sum == Sum::kNarrowWiden ? 2 : 1; }
 
 std::vector<uint8_t> Oracle(Sum sum) {
   EngineConfig baseline = SparkWith(1);
@@ -269,7 +285,8 @@ TEST(FusedFoldTest, BytesAndCountersMatchTheOracleUnderMapAborts) {
       for (bool aborted : {false, true}) {
         ExpectFusedFold(RunSum(SparkWith(workers), sum, aborted), oracle, aborted,
                         std::string(SumName(sum)) + " workers=" + std::to_string(workers) +
-                            (aborted ? " map abort" : ""));
+                            (aborted ? " map abort" : ""),
+                        CallsPerRecord(sum));
       }
     }
   }
@@ -331,10 +348,214 @@ TEST(FusedFoldTest, ProcessExecutorsShipTheSameFoldedBytes) {
         config.execution.process_executors = true;
         ExpectFusedFold(RunSum(config, sum, aborted), oracle, aborted,
                         std::string(SumName(sum)) + " executors=" + std::to_string(workers) +
-                            (aborted ? " map abort" : ""));
+                            (aborted ? " map abort" : ""),
+                        CallsPerRecord(sum));
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The composed map stage on the benchmark programs
+// ---------------------------------------------------------------------------
+
+constexpr int kComposedWorkerCounts[] = {1, 2, 4, 8};
+
+struct WorkloadInputs {
+  SyntheticGraph graph = MakePowerLawGraph(250, 1300, 7);
+  SyntheticPoints points = MakeClusteredPoints(300, 4, 3, 11);
+  SyntheticLabeledPoints labeled = MakeLabeledPoints(250, 5, 13);
+  std::vector<std::string> lines = MakeTextLines(120, 6, 80, 23);
+};
+
+enum class Runner { kInterpreter, kScalarPlan, kVecPlan };
+
+// Batch 3 splits the 4- and 5-element accumulate loops into a full strip
+// and a tail.
+EngineConfig ComposedConfig(Runner runner, int workers) {
+  EngineConfig config = SparkWith(workers);
+  config.execution.use_plan_compiler = runner != Runner::kInterpreter;
+  config.execution.vectorize = runner == Runner::kVecPlan;
+  config.execution.vector_batch_size = 3;
+  return config;
+}
+
+// KM, LR, GB, CS, PR, CC and WC: every reduce among them has an accumulate
+// form, so every one of their ReduceByKey map stages is composed.
+std::vector<WorkloadResult> RunWorkloads(const EngineConfig& config, const WorkloadInputs& in) {
+  SparkEngine engine(config);
+  SparkWorkloads w(engine);
+  return {w.RunKMeans(in.points, 3, 3),
+          w.RunLogisticRegression(in.labeled, 3, 0.5),
+          w.RunGradientBoosting(in.labeled, 3, 0.5),
+          w.RunChiSquareSelector(in.labeled),
+          w.RunPageRank(in.graph, 3),
+          w.RunConnectedComponents(in.graph, 4),
+          w.RunWordCount(in.lines)};
+}
+
+// Exact equality: Gerenuk mode folds every key in the same order on every
+// runner, worker count and process layout.
+void ExpectSameResults(const std::vector<WorkloadResult>& got,
+                       const std::vector<WorkloadResult>& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].checksum, want[i].checksum) << want[i].name << " " << label;
+    EXPECT_EQ(got[i].records, want[i].records) << want[i].name << " " << label;
+  }
+}
+
+// Each program's map stage composes: the transformed body has no emit left
+// and folds through kFoldSlot, while the original (the slow path) still
+// emits heap records.
+TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
+  SparkEngine engine(SparkWith(1));
+  SparkWorkloads w(engine);
+  struct Stage {
+    const char* name;
+    NarrowOp op;
+    KeySpec key;
+    const Function* reduce;
+    const Klass* broadcast;
+  };
+  auto fn = [&w](const char* name) { return w.udfs().FindFunction(name); };
+  const Stage stages[] = {
+      {"KM", NarrowOp::Map(fn("km_assign"), w.cluster_stat), {fn("km_key"), false},
+       fn("km_merge"), w.centers},
+      {"WC", NarrowOp::FlatMap(fn("wc_tokenize"), w.word_count), {fn("wc_key"), true},
+       fn("wc_sum"), nullptr},
+  };
+  for (const Stage& stage : stages) {
+    ASSERT_NE(stage.op.fn, nullptr) << stage.name;
+    const CompiledFunction key = CompileSingleFunction(EngineMode::kGerenuk, engine.layouts(),
+                                                       w.udfs(), stage.key.fn, nullptr);
+    const CompiledFunction reduce = CompileSingleFunction(EngineMode::kGerenuk, engine.layouts(),
+                                                          w.udfs(), stage.reduce, nullptr);
+    const EmitFoldSpec fold{&key, &reduce};
+    const Klass* in_klass = stage.broadcast != nullptr ? w.point : w.line;
+    const StagePrograms composed = CompileNarrowStage(
+        EngineMode::kGerenuk, engine.layouts(), in_klass, w.udfs(), {stage.op},
+        stage.broadcast != nullptr, stage.broadcast, nullptr, engine.heap().klasses(), nullptr,
+        PlanOptions(), &fold);
+    const StagePrograms plain = CompileNarrowStage(
+        EngineMode::kGerenuk, engine.layouts(), in_klass, w.udfs(), {stage.op},
+        stage.broadcast != nullptr, stage.broadcast, nullptr, engine.heap().klasses());
+    EXPECT_TRUE(composed.folds_at_emit) << stage.name;
+    EXPECT_FALSE(plain.folds_at_emit) << stage.name;
+    EXPECT_NE(composed.signature.hash, plain.signature.hash) << stage.name;
+    auto count = [](const Function& f, Op op) {
+      return std::count_if(f.body.begin(), f.body.end(),
+                           [op](const Statement& s) { return s.op == op; });
+    };
+    const Function& body = *composed.transformed->body;
+    EXPECT_EQ(count(body, Op::kGWriteObject), 0) << stage.name;
+    EXPECT_EQ(count(body, Op::kFoldSlot), 2) << stage.name;  // kLookup, kReduce: K is wide
+    EXPECT_EQ(count(body, Op::kCall), 1) << stage.name;      // the map UDF only
+    EXPECT_EQ(count(*composed.original->body, Op::kSerialize), 1) << stage.name;
+    EXPECT_EQ(count(*plain.transformed->body, Op::kGWriteObject), 1) << stage.name;
+  }
+}
+
+TEST(FusedFoldTest, ComposedWorkloadsMatchEveryRunnerWorkerCountAndBaseline) {
+  const WorkloadInputs in;
+  EngineConfig baseline = ComposedConfig(Runner::kInterpreter, 1);
+  baseline.execution.mode = EngineMode::kBaseline;
+  const std::vector<WorkloadResult> oracle = RunWorkloads(baseline, in);
+  std::vector<WorkloadResult> reference;
+  for (Runner runner : {Runner::kInterpreter, Runner::kScalarPlan, Runner::kVecPlan}) {
+    for (int workers : kComposedWorkerCounts) {
+      const std::vector<WorkloadResult> got = RunWorkloads(ComposedConfig(runner, workers), in);
+      const std::string label = "runner " + std::to_string(static_cast<int>(runner)) +
+                                " workers=" + std::to_string(workers);
+      if (reference.empty()) {
+        reference = got;
+      }
+      ExpectSameResults(got, reference, label);
+    }
+  }
+  // Baseline ships every record and folds on the reduce side only, so float
+  // sums associate differently; integer results (CC, WC) are exact.
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(reference[i].records, oracle[i].records) << oracle[i].name;
+    EXPECT_NEAR(reference[i].checksum, oracle[i].checksum,
+                1e-9 * std::abs(oracle[i].checksum) + 1e-9)
+        << oracle[i].name;
+  }
+  EXPECT_EQ(reference[5].checksum, oracle[5].checksum);  // CC
+  EXPECT_EQ(reference[6].checksum, oracle[6].checksum);  // WC
+}
+
+// vec_bail_after_strips = 1 with 2-lane strips: every vectorized loop,
+// including the accumulate loop inlined into each map stage's body, hands
+// its second strip to the scalar loop mid-loop.
+TEST(FusedFoldTest, MidStripBailInsideTheInlinedAccumulateKeepsTheResults) {
+  const WorkloadInputs in;
+  const std::vector<WorkloadResult> reference =
+      RunWorkloads(ComposedConfig(Runner::kScalarPlan, 2), in);
+  for (int64_t bail_after : {0, 1, 2}) {
+    EngineConfig config = ComposedConfig(Runner::kVecPlan, 2);
+    config.execution.vector_batch_size = 2;
+    config.execution.vec_bail_after_strips = bail_after;
+    ExpectSameResults(RunWorkloads(config, in), reference,
+                      "bail_after=" + std::to_string(bail_after));
+  }
+}
+
+// Separate from the in-process sweeps: their engines are gone before the
+// first fork. One executor count: every stage forks its executors, which
+// makes this the slowest sweep of the file.
+TEST(FusedFoldTest, ComposedWorkloadsMatchInProcessExecutors) {
+  const WorkloadInputs in;
+  const std::vector<WorkloadResult> reference =
+      RunWorkloads(ComposedConfig(Runner::kVecPlan, 1), in);
+  EngineConfig config = ComposedConfig(Runner::kVecPlan, 4);
+  config.execution.process_executors = true;
+  ExpectSameResults(RunWorkloads(config, in), reference, "executors=4");
+}
+
+// The call counter sees the composition: a KM pass calls the stage body and
+// km_assign once per point, and a CS pass calls the body and cs_cells once
+// per point although each point emits one record per feature.
+TEST(FusedFoldTest, ComposedMapTasksMakeNoCallPerEmittedRecord) {
+  const WorkloadInputs in;
+  for (Runner runner : {Runner::kInterpreter, Runner::kVecPlan}) {
+    SparkEngine engine(ComposedConfig(runner, 2));
+    SparkWorkloads w(engine);
+    w.RunKMeans(in.points, 3, 1);
+    const int64_t points = static_cast<int64_t>(in.points.values.size());
+    EXPECT_EQ(engine.stats().plan_calls, 2 * points);
+    EXPECT_EQ(engine.stats().combine_calls, points - 4 * 3);  // 4 map tasks x 3 clusters
+    w.RunChiSquareSelector(in.labeled);
+    const int64_t labeled = static_cast<int64_t>(in.labeled.labels.size());
+    EXPECT_EQ(engine.stats().plan_calls, 2 * labeled);
+    EXPECT_GT(engine.stats().combine_calls, 2 * labeled);
+    EXPECT_EQ(engine.metrics().counters().at("plan_calls"), 2 * labeled);
+  }
+}
+
+// SO-App's reduce grows its arrays, so it has no accumulate form: its map
+// stage stays uncomposed, and each map task combines its committed buckets.
+TEST(FusedFoldTest, AccountGroupingKeepsTheMapSideCombine) {
+  EngineConfig config = ComposedConfig(Runner::kVecPlan, 2);
+  config.observability.trace = true;
+  SparkEngine engine(config);
+  SparkWorkloads w(engine);
+  const CompiledFunction merge =
+      CompileSingleFunction(EngineMode::kGerenuk, engine.layouts(), w.udfs(),
+                            w.udfs().FindFunction("acct_merge"), nullptr);
+  EXPECT_EQ(merge.acc_fn, nullptr);
+  w.RunAccountGrouping(MakePosts(600, 100, 5, 29), 64);
+  int64_t combines = 0;
+  for (const TraceEvent& event : engine.trace()->events()) {
+    combines += event.type == TraceEventType::kCombine ? 1 : 0;
+  }
+  EXPECT_GT(combines, 0);
+  w.RunKMeans(WorkloadInputs().points, 3, 1);
+  int64_t km_combines = -combines;
+  for (const TraceEvent& event : engine.trace()->events()) {
+    km_combines += event.type == TraceEventType::kCombine ? 1 : 0;
+  }
+  EXPECT_EQ(km_combines, 0);
 }
 
 }  // namespace

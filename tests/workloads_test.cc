@@ -124,6 +124,34 @@ TEST(SparkWorkloadsTest, WordCountMatchesAcrossModes) {
   EXPECT_EQ(records[0], records[1]);
 }
 
+// A job's driver-side objects (its CollectToHeap results) are garbage once
+// it returns, and the next job's ResetMetrics collects them: a closed loop
+// of jobs on one engine keeps a flat peak instead of adding one result set
+// per pass.
+TEST(SparkWorkloadsTest, PeakMemoryStaysFlatAcrossPasses) {
+  SyntheticGraph graph = MakePowerLawGraph(2000, 10000, 7);
+  for (const char* program : {"PR", "CC"}) {
+    EngineConfig config = SmallSpark(EngineMode::kGerenuk);
+    config.execution.num_workers = 4;
+    SparkEngine engine(config);
+    SparkWorkloads workloads(engine);
+    int64_t second = 0;
+    for (int pass = 1; pass <= 10; ++pass) {
+      if (program[0] == 'P') {
+        workloads.RunPageRank(graph, 3);
+      } else {
+        workloads.RunConnectedComponents(graph, 3);
+      }
+      if (pass == 2) {
+        second = engine.peak_memory_bytes();
+      }
+    }
+    EXPECT_NEAR(static_cast<double>(engine.peak_memory_bytes()), static_cast<double>(second),
+                0.01 * static_cast<double>(second))
+        << program;
+  }
+}
+
 TEST(SparkWorkloadsTest, AccountGroupingAbortsAndStaysCorrect) {
   std::vector<SyntheticPost> posts = MakePosts(800, 120, 5, 29);
   double checksums[2];
