@@ -63,6 +63,7 @@ Function* BuildSpin(SerProgram& prog) {
 struct PriorRates {
   double plan = 0.0;    // primary dispatch rate (vectorized in new files)
   double scalar = 0.0;  // scalar plan dispatch rate
+  double interp = 0.0;  // interpreter rate of the same run
 };
 
 PriorRates ReadPriorPlanRps() {
@@ -87,6 +88,7 @@ PriorRates ReadPriorPlanRps() {
   };
   prior.plan = find("\"plan_records_per_sec\":");
   prior.scalar = find("\"scalar_plan_records_per_sec\":");
+  prior.interp = find("\"interpreter_records_per_sec\":");
   if (prior.scalar == 0.0) {
     prior.scalar = prior.plan;  // legacy single-rate file: scalar dispatch
   }
@@ -200,46 +202,59 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
               (vec_rps - profiled_rps) / vec_rps * 100.0);
   std::printf("plan/interpreter = %.2fx (acceptance bar: >= 2x)\n", ratio);
 
+  // Both guards compare rates against the interpreter's, measured in the
+  // same alternating rounds: host load slows every side of a round alike, so
+  // the ratios measure the change, where absolute rates measure the host.
+  // The baseline is the committed run's scalar/interpreter ratio.
+  const double scalar_vs_interp = scalar_rps / interp_rps;
+  const double prior_scalar_vs_interp =
+      prior.scalar > 0.0 && prior.interp > 0.0 ? prior.scalar / prior.interp : 0.0;
   int regressions = 0;
 
   // Tracing-off overhead guard: the unprofiled scalar dispatch loop must
-  // stay within 5% of the prior run's scalar rate (the profiler is a
-  // separate template instantiation precisely so the off path carries no
-  // new instructions, and the vectorizer must not tax scalar dispatch).
+  // stay within 5% of the prior run's scalar/interpreter ratio (the profiler
+  // is a separate template instantiation precisely so the off path carries
+  // no new instructions, and the vectorizer must not tax scalar dispatch).
   double tracing_off_overhead_pct = 0.0;
   int tracing_off_regression = 0;
-  if (prior.scalar > 0.0) {
-    tracing_off_overhead_pct = (prior.scalar - scalar_rps) / prior.scalar * 100.0;
-    std::printf("tracing-off scalar dispatch vs prior BENCH_plans.json: %+.1f%% (budget: 5%%)\n",
-                tracing_off_overhead_pct);
+  if (prior_scalar_vs_interp > 0.0) {
+    tracing_off_overhead_pct =
+        (prior_scalar_vs_interp - scalar_vs_interp) / prior_scalar_vs_interp * 100.0;
+    std::printf("tracing-off scalar/interpreter %.2fx vs prior BENCH_plans.json %.2fx: %+.1f%% "
+                "(budget: 5%%)\n",
+                scalar_vs_interp, prior_scalar_vs_interp, tracing_off_overhead_pct);
     if (tracing_off_overhead_pct > 5.0) {
       tracing_off_regression = 1;
       regressions += 1;
       std::fprintf(stderr,
-                   "REGRESSION: tracing-off scalar plan dispatch is %.1f%% slower than the "
-                   "prior run (%.0f vs %.0f records/s; budget 5%%)\n",
-                   tracing_off_overhead_pct, scalar_rps, prior.scalar);
+                   "REGRESSION: tracing-off scalar plan dispatch is %.1f%% slower against the "
+                   "interpreter than in the prior run (%.2fx vs %.2fx; budget 5%%)\n",
+                   tracing_off_overhead_pct, scalar_vs_interp, prior_scalar_vs_interp);
     }
   } else {
     std::printf("tracing-off overhead guard: no prior BENCH_plans.json, skipping\n");
   }
 
-  // Vectorized-path guard: the vec dispatch loop must never fall more than
-  // 5% below the prior run's *scalar* plan rate — the floor a broken
-  // vectorizer (bailing every strip, or pessimizing the loop) would breach.
+  // Vectorized-path guard: the vec plan's rate against the interpreter must
+  // never fall more than 5% below the prior run's *scalar* ratio — the floor
+  // a broken vectorizer (bailing every strip, or pessimizing the loop) would
+  // breach.
   double vec_vs_prior_scalar_pct = 0.0;
   int vec_regression = 0;
-  if (prior.scalar > 0.0) {
-    vec_vs_prior_scalar_pct = (vec_rps - prior.scalar) / prior.scalar * 100.0;
-    std::printf("vec dispatch vs prior scalar rate: %+.1f%% (floor: -5%%)\n",
-                vec_vs_prior_scalar_pct);
+  if (prior_scalar_vs_interp > 0.0) {
+    const double vec_vs_interp = vec_rps / interp_rps;
+    vec_vs_prior_scalar_pct =
+        (vec_vs_interp - prior_scalar_vs_interp) / prior_scalar_vs_interp * 100.0;
+    std::printf("vec/interpreter %.2fx vs prior scalar/interpreter %.2fx: %+.1f%% "
+                "(floor: -5%%)\n",
+                vec_vs_interp, prior_scalar_vs_interp, vec_vs_prior_scalar_pct);
     if (vec_vs_prior_scalar_pct < -5.0) {
       vec_regression = 1;
       regressions += 1;
       std::fprintf(stderr,
-                   "REGRESSION: vectorized plan dispatch is %.1f%% below the prior run's "
-                   "scalar rate (%.0f vs %.0f records/s; floor -5%%)\n",
-                   -vec_vs_prior_scalar_pct, vec_rps, prior.scalar);
+                   "REGRESSION: vectorized plan dispatch against the interpreter is %.1f%% "
+                   "below the prior run's scalar ratio (%.2fx vs %.2fx; floor -5%%)\n",
+                   -vec_vs_prior_scalar_pct, vec_vs_interp, prior_scalar_vs_interp);
     }
   } else {
     std::printf("vec regression guard: no prior BENCH_plans.json, skipping\n");
@@ -249,6 +264,7 @@ int DispatchExperiment(bench::JsonWriter& json, const PriorRates& prior) {
   json.Field("interpreter_records_per_sec", interp_rps);
   json.Field("plan_records_per_sec", vec_rps);  // primary rate: the default path
   json.Field("scalar_plan_records_per_sec", scalar_rps);
+  json.Field("scalar_vs_interpreter", scalar_vs_interp);
   json.Field("profiled_records_per_sec", profiled_rps);
   json.Field("profiler_overhead_pct", (vec_rps - profiled_rps) / vec_rps * 100.0);
   json.Field("plan_vs_interpreter", ratio);

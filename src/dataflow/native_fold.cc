@@ -112,6 +112,17 @@ int64_t KeyedNativeFold::Slot(BuilderStore& builders, const ShuffleKey& key, int
   return acc->addr;
 }
 
+int64_t KeyedNativeFold::Probe(const ShuffleKey& key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    return 0;
+  }
+  FoldAcc* acc = &accs_[it->second];
+  folds_ += 1;
+  folder_.Own(acc);
+  return acc->addr;
+}
+
 int64_t KeyedNativeFold::Stage(BuilderStore& builders, int64_t addr, const Klass* klass) {
   if (!IsBuilderAddr(addr)) {
     return addr;

@@ -80,14 +80,18 @@ class KeyedNativeFold {
   // about to be reused: a first-seen key renders it into the scratch region.
   void AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t addr,
                   const Klass* klass);
-  // AddEmitted in the three steps a composed map stage's kFoldSlot
-  // statements take (EmitFold): Slot renders a first-seen key's record and
+  // AddEmitted in the steps a composed map stage's kFoldSlot statements
+  // take (EmitFold): Slot renders a first-seen key's record and
   // returns 0, or counts a fold and returns the key's owned accumulator for
   // the inlined accumulate form to write; Stage renders a builder into a
   // staging buffer (K with fields narrower than 8 bytes) and returns its
   // address, valid until the next Stage; Reduce folds with `fn` when the
   // accumulate form declined.
   int64_t Slot(BuilderStore& builders, const ShuffleKey& key, int64_t addr, const Klass* klass);
+  // Slot for a record not built yet: counts a fold and returns the key's
+  // owned accumulator, or returns 0 for a first-seen key without inserting
+  // it — the caller then builds the record and takes Slot.
+  int64_t Probe(const ShuffleKey& key);
   int64_t Stage(BuilderStore& builders, int64_t addr, const Klass* klass);
   void Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t rec);
   // Moves one record per key, in first-seen key order, into `out`. Hands the

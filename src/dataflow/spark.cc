@@ -107,6 +107,8 @@ class BucketFolds : public EmitFold {
       case FoldSlotMode::kReduce:
         table.Reduce(runner, builders, key_, record);
         return 0;
+      case FoldSlotMode::kProbe:
+        return table.Probe(key_);
     }
     return 0;
   }

@@ -153,6 +153,9 @@ StagePrograms CompileNarrowStage(EngineMode mode, const DataStructAnalyzer& layo
       std::unique_ptr<SerProgram> transformed =
           CompileSerProgram(*stage.original, layouts, stats);
       if (stage.folds_at_emit) {
+        if (!ops.empty() && ops.back().kind == NarrowOp::kFlatMap) {
+          DeforestFlatMap(transformed.get());
+        }
         ComposeEmitFold(transformed.get(), *fold->key->fast_fn, *fold->reduce->acc_fn,
                         stage.out_klass);
       }

@@ -55,7 +55,9 @@ class EmitFold {
   // rendering the record of a first-seen key as its accumulator. kStage
   // returns the record rendered to committed bytes when it is a builder
   // (else the record itself). kReduce folds the record into the key's
-  // accumulator with the full reduce and returns 0.
+  // accumulator with the full reduce and returns 0. kProbe is kLookup
+  // before the record is built: it returns 0 for a first-seen key without
+  // reading `record` or inserting the key.
   virtual int64_t Slot(FoldSlotMode mode, int64_t record, Value key, SerRunner& runner,
                        BuilderStore& builders) = 0;
 };

@@ -1114,10 +1114,8 @@ Value PlanExecutor::Execute(Frame& frame) {
       &&lbl_kAppendRecord, &&lbl_kAppendArray, &&lbl_kAttachField,
       &&lbl_kAttachElement, &&lbl_kAbort, &&lbl_kWriteOwned,
       &&lbl_kNativeArrayStoreOwned, &&lbl_kFoldSlot, &&lbl_kBinOpBranch, &&lbl_kNotBranch,
-      &&lbl_kBinOpJump, &&lbl_kReadConstBin, &&lbl_kBinOpBin,
-      &&lbl_kBinOpBinJump, &&lbl_kBinOpRun, &&lbl_kBinOpRunBranch,
-      &&lbl_kBinOpRunJump, &&lbl_kBranchElse, &&lbl_kBinOpBranchElse,
-      &&lbl_kBinOpRunBranchElse, &&lbl_kVecLoopBegin, &&lbl_kVecBinOp,
+      &&lbl_kReadConstBin, &&lbl_kBinOpBin, &&lbl_kBinOpRun, &&lbl_kBinOpRunBranch,
+      &&lbl_kBranchElse, &&lbl_kBinOpRunBranchElse, &&lbl_kVecLoopBegin, &&lbl_kVecBinOp,
       &&lbl_kVecUnOp, &&lbl_kVecScan, &&lbl_kVecReadCol, &&lbl_kVecWriteCol,
       &&lbl_kVecFilter, &&lbl_kVecLoopEnd,
   };
@@ -1479,10 +1477,6 @@ Value PlanExecutor::Execute(Frame& frame) {
     }
     NEXT();
   }
-  OP(kBinOpJump) {
-    slots[op->dst] = EvalBin(op->binop, slots[op->a], slots[op->b]);
-    JUMP(op->target);
-  }
   OP(kReadConstBin) {
     int64_t addr = slots[op->a].i;
     if (IsBuilderAddr(addr)) {
@@ -1502,11 +1496,6 @@ Value PlanExecutor::Execute(Frame& frame) {
     slots[op->dst] = EvalBin(op->binop, slots[op->a], slots[op->b]);
     slots[op->dst2] = EvalBin(static_cast<BinOpKind>(op->imm), slots[op->c], slots[op->d]);
     NEXT();
-  }
-  OP(kBinOpBinJump) {
-    slots[op->dst] = EvalBin(op->binop, slots[op->a], slots[op->b]);
-    slots[op->dst2] = EvalBin(static_cast<BinOpKind>(op->imm), slots[op->c], slots[op->d]);
-    JUMP(op->target);
   }
 #define RUN_BINOPS()                                                      \
   do {                                                                    \
@@ -1552,16 +1541,8 @@ Value PlanExecutor::Execute(Frame& frame) {
     }
     NEXT();
   }
-  OP(kBinOpRunJump) {
-    RUN_BINOPS();
-    JUMP(op->target);
-  }
   OP(kBranchElse) {
     JUMP(slots[op->a].AsBool() ? op->target : op->target2);
-  }
-  OP(kBinOpBranchElse) {
-    slots[op->dst] = EvalBin(op->binop, slots[op->a], slots[op->b]);
-    JUMP(slots[op->c].AsBool() ? op->target : op->target2);
   }
   OP(kBinOpRunBranchElse) {
     RUN_BINOPS_PEEL(v, rl);

@@ -11,7 +11,7 @@
 //   * constant-foldable offset expressions folded to immediates (symbolic
 //     ones flattened into an iterative per-plan FlatStep run),
 //   * fused superinstructions for the dominant shapes (compare+branch,
-//     binop+jump loop back edges, not+branch filters, const-read+binop).
+//     not+branch filters, const-read+binop, binop runs, branch+else).
 // The PlanExecutor runs plans with computed-goto dispatch (GCC/Clang; a
 // plain switch elsewhere) and batches the record channel: input addresses
 // are prefetched in runs and emits are buffered, amortizing the per-record
@@ -78,22 +78,18 @@ enum class PlanOpCode : uint8_t {
   // fusion is invisible to any later reader of those slots) ---
   kBinOpBranch,   // dst = a <binop> b; if (slots[c]) goto target
   kNotBranch,     // dst = !a;          if (slots[c]) goto target
-  kBinOpJump,     // dst = a <binop> b; goto target (loop back edge)
   kReadConstBin,  // dst = readNative(a, imm); dst2 = b <binop> c
   kBinOpBin,      // dst = a <binop> b; dst2 = c <binop2:imm> d — the second
                   // binop reads slots after the first one's store, so a
                   // dependent pair behaves exactly as when unfused
-  kBinOpBinJump,  // kBinOpBin then goto target (a counted loop's whole tail)
   kBinOpRun,      // {kind, a, b, dst} x (args_len/4) binops from args_pool,
                   // executed in order against the slots — an arithmetic
                   // chain costs one dispatch instead of one per binop. An
                   // entry with kind < 0 is an int32 immediate: dst = I64(a).
   kBinOpRunBranch,  // kBinOpRun then: if (slots[c]) goto target
-  kBinOpRunJump,    // kBinOpRun then goto target
   // A conditional branch whose fall-through was itself a jump: both edges
   // resolved in one dispatch (if (slots[cond]) goto target else target2).
   kBranchElse,         // cond is a
-  kBinOpBranchElse,    // dst = a <binop> b first; cond is c
   kBinOpRunBranchElse, // the run first; cond is c
   // --- vectorized batch tier (see DESIGN.md §13) ---------------------------
   // A qualifying counted loop is strip-mined: the vec block runs strips of

@@ -454,8 +454,8 @@ class PlanBuilder {
 
     // Pass C: peephole fusion over adjacent pairs, repeated to a fixpoint —
     // a later round can absorb a round-1 superinstruction's neighbor (e.g.
-    // kBinOpBin + the loop back-edge kJump becomes kBinOpBinJump, the whole
-    // tail of a counted loop in one dispatch). Intermediate destinations
+    // kBinOpRunBranch + the jump it falls through into becomes
+    // kBinOpRunBranchElse). Intermediate destinations
     // are still written (no liveness analysis), so semantics are identical
     // whether or not a pair fuses. Branch/jump destinations start basic
     // blocks; a block leader must stay addressable, so it can never be the
@@ -1028,22 +1028,13 @@ class PlanBuilder {
       out->target = y.target;
       return true;
     }
-    if (x.code == PlanOpCode::kBinOp && y.code == PlanOpCode::kJump) {
-      *out = x;
-      out->code = PlanOpCode::kBinOpJump;
-      out->target = y.target;
-      return true;
-    }
     // A conditional branch that falls through into a jump takes both edges
     // in one dispatch (the shape jump threading leaves behind loop tails).
     if (y.code == PlanOpCode::kJump &&
-        (x.code == PlanOpCode::kBranch || x.code == PlanOpCode::kBinOpBranch ||
-         x.code == PlanOpCode::kBinOpRunBranch)) {
+        (x.code == PlanOpCode::kBranch || x.code == PlanOpCode::kBinOpRunBranch)) {
       *out = x;
       out->code = x.code == PlanOpCode::kBranch ? PlanOpCode::kBranchElse
-                  : x.code == PlanOpCode::kBinOpBranch
-                      ? PlanOpCode::kBinOpBranchElse
-                      : PlanOpCode::kBinOpRunBranchElse;
+                                                : PlanOpCode::kBinOpRunBranchElse;
       out->target2 = y.target;
       return true;
     }
@@ -1051,28 +1042,6 @@ class PlanBuilder {
       *out = x;
       out->code = PlanOpCode::kBinOpRunBranch;
       out->c = y.a;
-      out->target = y.target;
-      return true;
-    }
-    if (x.code == PlanOpCode::kBinOpRun && y.code == PlanOpCode::kJump) {
-      *out = x;
-      out->code = PlanOpCode::kBinOpRunJump;
-      out->target = y.target;
-      return true;
-    }
-    if (x.code == PlanOpCode::kBinOpBin && y.code == PlanOpCode::kJump) {
-      *out = x;
-      out->code = PlanOpCode::kBinOpBinJump;
-      out->target = y.target;
-      return true;
-    }
-    if (x.code == PlanOpCode::kBinOp && y.code == PlanOpCode::kBinOpJump) {
-      *out = x;
-      out->code = PlanOpCode::kBinOpBinJump;
-      out->imm = static_cast<int64_t>(y.binop);
-      out->c = y.a;
-      out->d = y.b;
-      out->dst2 = y.dst;
       out->target = y.target;
       return true;
     }
@@ -1329,15 +1298,11 @@ const char* PlanOpName(PlanOpCode code) {
     case PlanOpCode::kFoldSlot: return "foldslot";
     case PlanOpCode::kBinOpBranch: return "binop+branch";
     case PlanOpCode::kNotBranch: return "not+branch";
-    case PlanOpCode::kBinOpJump: return "binop+jump";
     case PlanOpCode::kReadConstBin: return "read.const+binop";
     case PlanOpCode::kBinOpBin: return "binop+binop";
-    case PlanOpCode::kBinOpBinJump: return "binop+binop+jump";
     case PlanOpCode::kBinOpRun: return "binop.run";
     case PlanOpCode::kBinOpRunBranch: return "binop.run+branch";
-    case PlanOpCode::kBinOpRunJump: return "binop.run+jump";
     case PlanOpCode::kBranchElse: return "branch+else";
-    case PlanOpCode::kBinOpBranchElse: return "binop+branch+else";
     case PlanOpCode::kBinOpRunBranchElse: return "binop.run+branch+else";
     case PlanOpCode::kVecLoopBegin: return "vec.loop.begin";
     case PlanOpCode::kVecBinOp: return "vec.binop";

@@ -695,14 +695,16 @@ void TaskScheduler::RunStageProcess(int num_tasks, const Task& task,
     }
   }
 
-  // Teardown: ask live executors to exit, close channels (EOF is a second
-  // exit signal), and reap every child.
-  for (int s = 0; s < nslots; ++s) {
-    ExecSlot& slot = slots[static_cast<size_t>(s)];
+  // Teardown: ask every live executor to exit and close its channel (EOF is
+  // a second exit signal) before reaping any, so the children wind down
+  // together instead of one after another.
+  for (ExecSlot& slot : slots) {
     if (slot.alive && slot.channel != nullptr) {
       slot.channel->Write(ExecMsg::kShutdown, nullptr, 0);
     }
     slot.channel.reset();
+  }
+  for (ExecSlot& slot : slots) {
     if (slot.pid > 0) {
       int status = 0;
       ::waitpid(slot.pid, &status, 0);
@@ -726,15 +728,19 @@ void TaskScheduler::ExecutorChildMain(int fd, int slot, const StageCodec& codec)
   // sees; detach it so task bodies do not waste time tracing into the void.
   ctx.set_trace_sink(nullptr);
   std::mutex write_mu;
-  std::atomic<bool> stop{false};
+  // The heartbeat thread waits on `stop_cv`, so shutdown wakes it at once
+  // instead of waiting out its interval.
+  std::mutex stop_mu;
+  std::condition_variable stop_cv;
+  bool stop = false;
   const int64_t hb_ms = supervisor_config_.heartbeat_ms > 0 ? supervisor_config_.heartbeat_ms : 25;
-  std::thread heartbeat([fd, hb_ms, &write_mu, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(hb_ms));
-      if (stop.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (!WriteFrame(fd, ExecMsg::kHeartbeat, nullptr, 0, &write_mu)) {
+  std::thread heartbeat([fd, hb_ms, &write_mu, &stop_mu, &stop_cv, &stop] {
+    std::unique_lock<std::mutex> lock(stop_mu);
+    while (!stop_cv.wait_for(lock, std::chrono::milliseconds(hb_ms), [&stop] { return stop; })) {
+      lock.unlock();
+      const bool sent = WriteFrame(fd, ExecMsg::kHeartbeat, nullptr, 0, &write_mu);
+      lock.lock();
+      if (!sent) {
         break;  // driver is gone
       }
     }
@@ -811,7 +817,11 @@ void TaskScheduler::ExecutorChildMain(int fd, int slot, const StageCodec& codec)
       }
     }
   }
-  stop.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stop_mu);
+    stop = true;
+  }
+  stop_cv.notify_one();
   heartbeat.join();
   ::_exit(0);
 }

@@ -124,6 +124,8 @@ enum class FoldSlotMode : uint8_t {
   kLookup,  // dst = the key's accumulator, or 0 after rendering a first-seen key's record
   kStage,   // dst = the record rendered to committed bytes (a builder, K with narrow fields)
   kReduce,  // the accumulate form declined: fold the record with the full reduce
+  kProbe,   // dst = the key's accumulator, or 0 for a first-seen key (record unread,
+            // nothing inserted or rendered)
 };
 
 const char* OpName(Op op);

@@ -6,7 +6,8 @@
 // counters, and the governor's view must not depend on the runner, the
 // worker count, process executors, a vec strip bailing inside the inlined
 // accumulate form, or a map task aborting halfway through and refolding on
-// the slow path.
+// the slow path — nor on whether a flatMap stage was fused into the fold
+// (inlined, its fields forwarded, its records built only for a new key).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,6 +170,25 @@ const char* SumName(Sum sum) {
 
 constexpr Sum kSums[] = {Sum::kI64, Sum::kF64, Sum::kNarrow, Sum::kNarrowWiden};
 
+// A reduce's output as native record bodies: the dataset's bytes in
+// Gerenuk mode, the baseline's heap records rendered to the native format.
+std::vector<uint8_t> OutputBytes(const EngineConfig& config, SparkJob& job,
+                                 const DatasetPtr& out) {
+  if (config.execution.mode == EngineMode::kGerenuk) {
+    return DatasetBytes(out);
+  }
+  std::vector<uint8_t> bytes;
+  InlineSerializer serde(job.engine.heap());
+  for (const std::vector<ObjRef>& part : out->heap_parts) {
+    for (ObjRef ref : part) {
+      ByteBuffer record;
+      serde.WriteRecord(ref, out->klass, record);
+      bytes.insert(bytes.end(), record.data() + 4, record.data() + record.size());
+    }
+  }
+  return bytes;
+}
+
 // One ReduceByKey over 1000 records: the Pair double sum (its values are
 // small integers, exact in any order), the Tally integer sum, or the Narrow
 // fold. With `abort_map_task`, map task 1 aborts at record kAbortRecord on
@@ -220,7 +240,6 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
                                    KeySpec{narrow.get_key, false}, narrow.fold);
       break;
   }
-  Run run{{}, job.engine.stats()};
   if (config.execution.mode == EngineMode::kGerenuk) {
     // Every reduce here takes the emit-time fold, not the post-task combine.
     EXPECT_NE(CompileSingleFunction(EngineMode::kGerenuk, job.engine.layouts(), job.udfs,
@@ -231,19 +250,8 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
                   .acc_fn,
               nullptr)
         << SumName(sum);
-    run.bytes = DatasetBytes(out);
-    return run;
   }
-  // The oracle's heap records, rendered to the native format.
-  InlineSerializer serde(job.engine.heap());
-  for (const std::vector<ObjRef>& part : out->heap_parts) {
-    for (ObjRef ref : part) {
-      ByteBuffer record;
-      serde.WriteRecord(ref, out->klass, record);
-      run.bytes.insert(run.bytes.end(), record.data() + 4, record.data() + record.size());
-    }
-  }
-  return run;
+  return Run{OutputBytes(config, job, out), job.engine.stats()};
 }
 
 void ExpectFusedFold(const Run& run, const std::vector<uint8_t>& oracle, bool aborted,
@@ -405,9 +413,24 @@ void ExpectSameResults(const std::vector<WorkloadResult>& got,
   }
 }
 
+int64_t CountOps(const Function& f, Op op) {
+  return std::count_if(f.body.begin(), f.body.end(),
+                       [op](const Statement& s) { return s.op == op; });
+}
+
+int64_t CountFoldSlots(const Function& f, FoldSlotMode mode) {
+  return std::count_if(f.body.begin(), f.body.end(), [mode](const Statement& s) {
+    return s.op == Op::kFoldSlot && s.imm.i == static_cast<int64_t>(mode);
+  });
+}
+
 // Each program's map stage composes: the transformed body has no emit left
 // and folds through kFoldSlot, while the original (the slow path) still
-// emits heap records.
+// emits heap records. CS, GB and PR fill one K[n] array in a counted loop,
+// so their flatMap call and element loop are gone too, and each emitted
+// record is built only for a first-seen key or a declined fold (kProbe
+// first). KM maps; CC attaches a tail element after its loop and WC at a
+// counter, so they keep the map UDF's call.
 TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
   SparkEngine engine(SparkWith(1));
   SparkWorkloads w(engine);
@@ -416,14 +439,24 @@ TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
     NarrowOp op;
     KeySpec key;
     const Function* reduce;
+    const Klass* in;
     const Klass* broadcast;
+    bool fuses;
   };
   auto fn = [&w](const char* name) { return w.udfs().FindFunction(name); };
   const Stage stages[] = {
       {"KM", NarrowOp::Map(fn("km_assign"), w.cluster_stat), {fn("km_key"), false},
-       fn("km_merge"), w.centers},
+       fn("km_merge"), w.point, w.centers, false},
       {"WC", NarrowOp::FlatMap(fn("wc_tokenize"), w.word_count), {fn("wc_key"), true},
-       fn("wc_sum"), nullptr},
+       fn("wc_sum"), w.line, nullptr, false},
+      {"CC", NarrowOp::FlatMap(fn("cc_spread"), w.rank), {fn("pr_rank_key"), false},
+       fn("cc_min"), w.vertex_state, nullptr, false},
+      {"CS", NarrowOp::FlatMap(fn("cs_cells"), w.feat_count), {fn("cs_key"), false},
+       fn("cs_add"), w.sparse_point, nullptr, true},
+      {"GB", NarrowOp::FlatMap(fn("gb_stats"), w.feat_count), {fn("cs_key"), false},
+       fn("cs_add"), w.labeled_point, w.weights, true},
+      {"PR", NarrowOp::FlatMap(fn("pr_contribs"), w.rank), {fn("pr_rank_key"), false},
+       fn("pr_sum"), w.vertex_state, nullptr, true},
   };
   for (const Stage& stage : stages) {
     ASSERT_NE(stage.op.fn, nullptr) << stage.name;
@@ -432,27 +465,27 @@ TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
     const CompiledFunction reduce = CompileSingleFunction(EngineMode::kGerenuk, engine.layouts(),
                                                           w.udfs(), stage.reduce, nullptr);
     const EmitFoldSpec fold{&key, &reduce};
-    const Klass* in_klass = stage.broadcast != nullptr ? w.point : w.line;
+    const bool bc = stage.broadcast != nullptr;
     const StagePrograms composed = CompileNarrowStage(
-        EngineMode::kGerenuk, engine.layouts(), in_klass, w.udfs(), {stage.op},
-        stage.broadcast != nullptr, stage.broadcast, nullptr, engine.heap().klasses(), nullptr,
-        PlanOptions(), &fold);
-    const StagePrograms plain = CompileNarrowStage(
-        EngineMode::kGerenuk, engine.layouts(), in_klass, w.udfs(), {stage.op},
-        stage.broadcast != nullptr, stage.broadcast, nullptr, engine.heap().klasses());
+        EngineMode::kGerenuk, engine.layouts(), stage.in, w.udfs(), {stage.op}, bc,
+        stage.broadcast, nullptr, engine.heap().klasses(), nullptr, PlanOptions(), &fold);
+    const StagePrograms plain =
+        CompileNarrowStage(EngineMode::kGerenuk, engine.layouts(), stage.in, w.udfs(),
+                           {stage.op}, bc, stage.broadcast, nullptr, engine.heap().klasses());
     EXPECT_TRUE(composed.folds_at_emit) << stage.name;
     EXPECT_FALSE(plain.folds_at_emit) << stage.name;
     EXPECT_NE(composed.signature.hash, plain.signature.hash) << stage.name;
-    auto count = [](const Function& f, Op op) {
-      return std::count_if(f.body.begin(), f.body.end(),
-                           [op](const Statement& s) { return s.op == op; });
-    };
     const Function& body = *composed.transformed->body;
-    EXPECT_EQ(count(body, Op::kGWriteObject), 0) << stage.name;
-    EXPECT_EQ(count(body, Op::kFoldSlot), 2) << stage.name;  // kLookup, kReduce: K is wide
-    EXPECT_EQ(count(body, Op::kCall), 1) << stage.name;      // the map UDF only
-    EXPECT_EQ(count(*composed.original->body, Op::kSerialize), 1) << stage.name;
-    EXPECT_EQ(count(*plain.transformed->body, Op::kGWriteObject), 1) << stage.name;
+    EXPECT_EQ(CountOps(body, Op::kGWriteObject), 0) << stage.name;
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kReduce), 1) << stage.name;
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kLookup), 1) << stage.name;
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kStage), 0) << stage.name;  // K is wide
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kProbe), stage.fuses ? 1 : 0) << stage.name;
+    EXPECT_EQ(CountOps(body, Op::kCall), stage.fuses ? 0 : 1) << stage.name;  // the map UDF
+    EXPECT_EQ(CountOps(body, Op::kAppendArray), 0) << stage.name;
+    EXPECT_EQ(CountOps(*composed.original->body, Op::kSerialize), 1) << stage.name;
+    EXPECT_EQ(CountOps(*plain.transformed->body, Op::kGWriteObject), 1) << stage.name;
+    EXPECT_EQ(CountOps(*plain.transformed->body, Op::kCall), 1) << stage.name;
   }
 }
 
@@ -514,8 +547,9 @@ TEST(FusedFoldTest, ComposedWorkloadsMatchInProcessExecutors) {
 }
 
 // The call counter sees the composition: a KM pass calls the stage body and
-// km_assign once per point, and a CS pass calls the body and cs_cells once
-// per point although each point emits one record per feature.
+// km_assign once per point, and a CS pass calls only the body once per
+// point (cs_cells is inlined) although each point emits one record per
+// feature.
 TEST(FusedFoldTest, ComposedMapTasksMakeNoCallPerEmittedRecord) {
   const WorkloadInputs in;
   for (Runner runner : {Runner::kInterpreter, Runner::kVecPlan}) {
@@ -527,9 +561,9 @@ TEST(FusedFoldTest, ComposedMapTasksMakeNoCallPerEmittedRecord) {
     EXPECT_EQ(engine.stats().combine_calls, points - 4 * 3);  // 4 map tasks x 3 clusters
     w.RunChiSquareSelector(in.labeled);
     const int64_t labeled = static_cast<int64_t>(in.labeled.labels.size());
-    EXPECT_EQ(engine.stats().plan_calls, 2 * labeled);
+    EXPECT_EQ(engine.stats().plan_calls, labeled);
     EXPECT_GT(engine.stats().combine_calls, 2 * labeled);
-    EXPECT_EQ(engine.metrics().counters().at("plan_calls"), 2 * labeled);
+    EXPECT_EQ(engine.metrics().counters().at("plan_calls"), labeled);
   }
 }
 
@@ -556,6 +590,231 @@ TEST(FusedFoldTest, AccountGroupingKeepsTheMapSideCombine) {
     km_combines += event.type == TraceEventType::kCombine ? 1 : 0;
   }
   EXPECT_EQ(km_combines, 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// flatMap shapes: which fuse into the composed stage, and which keep the
+// element loop
+// ---------------------------------------------------------------------------
+
+// Each UDF maps a Pair{key k, value v} to k % 4 records (key k * 8 + i)
+// through a K[] array. Only kFills, kNarrowField, kIntIntoF64 and
+// kValueReassigned fill the array the way DeforestFlatMap requires.
+enum class Shape {
+  kFills,               // x = new K; x.key = ..; x.value = v; arr[i] = x
+  kWrittenAfterAttach,  // x.value is written after arr[i] = x
+  kTailAttach,          // K[n + 1], the loop, then arr[n] = one more (CC's shape)
+  kCounterIndexed,      // arr[j] = x with a counter j (WC's shape)
+  kNarrowField,         // K = Cell{key:i64, n:i32}: fused, nothing forwarded
+  kIntIntoF64,          // x.value = i, an integer: the key forwards, the value not
+  kValueReassigned,     // x.value = t, then t changes before the attach: nothing forwards
+  kAbortAfterLoop,      // kFills, then a monitor on the input record: an abort fence
+};
+
+struct ShapeCase {
+  const char* name;
+  Shape shape;
+  bool fuses;  // the flatMap call and element loop are gone
+  bool sinks;  // the record is built behind a kProbe
+};
+
+constexpr ShapeCase kShapes[] = {
+    {"fills its array", Shape::kFills, true, true},
+    {"writes a record after its attach", Shape::kWrittenAfterAttach, false, false},
+    {"attaches a tail element after its loop", Shape::kTailAttach, false, false},
+    {"attaches at a counter", Shape::kCounterIndexed, false, false},
+    {"emits a K with an i32 field", Shape::kNarrowField, true, false},
+    {"writes an integer into an f64 field", Shape::kIntIntoF64, true, false},
+    {"reassigns a written value before its attach", Shape::kValueReassigned, true, false},
+    {"aborts after its loop", Shape::kAbortAfterLoop, false, false},
+};
+
+constexpr int64_t kShapeRecords = 400;
+
+struct ShapeUdfs {
+  const Klass* out = nullptr;
+  const Function* flat_map = nullptr;
+  const Function* get_key = nullptr;
+  const Function* reduce = nullptr;
+};
+
+// Builds one shape's flatMap UDF (named `name`) next to the Pair job's key
+// function and sum; kNarrowField also defines Cell with its own.
+ShapeUdfs AddShape(SparkJob* job, Shape shape, const std::string& name) {
+  KlassRegistry& reg = job->engine.heap().klasses();
+  const Klass* pair = job->pair;
+  ShapeUdfs s{pair, nullptr, job->get_key, job->sum_values};
+  if (shape == Shape::kNarrowField) {
+    const Klass* cell = reg.DefineClass("Cell", {
+                                                   {"key", FieldKind::kI64, nullptr, 0},
+                                                   {"n", FieldKind::kI32, nullptr, 0},
+                                               });
+    job->engine.RegisterDataType(cell);
+    s.out = cell;
+    {
+      Function* f = job->udfs.AddFunction("cell_key");
+      FunctionBuilder b(f);
+      int rec = b.Param("rec", IrType::Ref(cell));
+      f->return_type = IrType::I64();
+      b.Return(b.FieldLoad(rec, cell, "key"));
+      b.Done();
+      s.get_key = f;
+    }
+    {
+      Function* f = job->udfs.AddFunction("cell_sum");
+      FunctionBuilder b(f);
+      int a = b.Param("a", IrType::Ref(cell));
+      int c = b.Param("b", IrType::Ref(cell));
+      f->return_type = IrType::Ref(cell);
+      int out = b.NewObject(cell);
+      b.FieldStore(out, cell, "key", b.FieldLoad(a, cell, "key"));
+      b.FieldStore(out, cell, "n",
+                   b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, cell, "n"), b.FieldLoad(c, cell, "n")));
+      b.Return(out);
+      b.Done();
+      s.reduce = f;
+    }
+  }
+  const Klass* array = reg.Find(std::string(s.out->name()) + "[]");
+  Function* f = job->udfs.AddFunction(name);
+  FunctionBuilder b(f);
+  int rec = b.Param("rec", IrType::Ref(pair));
+  f->return_type = IrType::Ref(array);
+  int k = b.FieldLoad(rec, pair, "key");
+  int v = b.FieldLoad(rec, pair, "value");
+  int n = b.BinOp(BinOpKind::kRem, k, b.ConstI(4));
+  int length = shape == Shape::kTailAttach ? b.BinOp(BinOpKind::kAdd, n, b.ConstI(1)) : n;
+  int arr = b.NewArray(array, length);
+  int j = b.Local("j", IrType::I64());
+  b.AssignTo(j, b.ConstI(0));
+  auto key_of = [&](int i) {
+    return b.BinOp(BinOpKind::kAdd, b.BinOp(BinOpKind::kMul, k, b.ConstI(8)), i);
+  };
+  b.For(n, [&](int i) {
+    int x = b.NewObject(s.out);
+    b.FieldStore(x, s.out, "key", key_of(i));
+    if (shape == Shape::kNarrowField) {
+      // Past i32: the fold must see the narrowed value.
+      b.FieldStore(x, s.out, "n", b.BinOp(BinOpKind::kMul, k, b.ConstI(700000000)));
+    } else if (shape == Shape::kIntIntoF64) {
+      b.FieldStore(x, s.out, "value", i);
+    } else if (shape == Shape::kValueReassigned) {
+      int t = b.Local("t", IrType::F64());
+      b.AssignTo(t, v);
+      b.FieldStore(x, s.out, "value", t);
+      b.AssignTo(t, b.BinOp(BinOpKind::kMul, t, b.ConstF(3.0)));
+    } else if (shape != Shape::kWrittenAfterAttach) {
+      b.FieldStore(x, s.out, "value", v);
+    }
+    if (shape == Shape::kCounterIndexed) {
+      b.ArrayStore(arr, j, x);
+      b.AssignTo(j, b.BinOp(BinOpKind::kAdd, j, b.ConstI(1)));
+      return;
+    }
+    b.ArrayStore(arr, i, x);
+    if (shape == Shape::kWrittenAfterAttach) {
+      b.FieldStore(x, s.out, "value", b.BinOp(BinOpKind::kMul, v, b.ConstF(3.0)));
+    }
+  });
+  if (shape == Shape::kTailAttach) {
+    int x = b.NewObject(pair);
+    b.FieldStore(x, pair, "key", key_of(b.ConstI(7)));
+    b.FieldStore(x, pair, "value", v);
+    b.ArrayStore(arr, n, x);
+  }
+  if (shape == Shape::kAbortAfterLoop) {
+    b.MonitorEnter(rec);
+    b.MonitorExit(rec);
+  }
+  b.Return(arr);
+  b.Done();
+  s.flat_map = f;
+  return s;
+}
+
+// Every shape's UDFs on one job, in kShapes order.
+std::vector<ShapeUdfs> AddShapes(SparkJob* job) {
+  std::vector<ShapeUdfs> shapes;
+  for (const ShapeCase& c : kShapes) {
+    shapes.push_back(AddShape(job, c.shape, "shape_" + std::to_string(shapes.size())));
+  }
+  return shapes;
+}
+
+// Each shape's ReduceByKey over the same kShapeRecords Pair records, on one
+// engine. With `abort_map_task`, map task 1 of each aborts at record 40 on
+// every attempt, after its fast path has folded what the records before it
+// emitted.
+std::vector<std::vector<uint8_t>> RunShapes(const EngineConfig& config, bool abort_map_task) {
+  SparkJob job(config);
+  const std::vector<ShapeUdfs> shapes = AddShapes(&job);
+  DatasetPtr in = job.MakeInput(kShapeRecords);
+  std::vector<std::vector<uint8_t>> bytes;
+  for (const ShapeUdfs& s : shapes) {
+    if (abort_map_task) {
+      job.engine.fault_plan().AbortTask(job.engine.next_task_ordinal() + 1, 40);
+    }
+    DatasetPtr out = job.engine.ReduceByKey(in, job.udfs, {NarrowOp::FlatMap(s.flat_map, s.out)},
+                                            KeySpec{s.get_key, false}, s.reduce);
+    bytes.push_back(OutputBytes(config, job, out));
+  }
+  return bytes;
+}
+
+TEST(FusedFoldTest, FlatMapShapesFuseOnlyWhenTheirArrayIsFilledInALoop) {
+  SparkJob job(SparkWith(1));
+  const std::vector<ShapeUdfs> shapes = AddShapes(&job);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const ShapeCase& c = kShapes[i];
+    const ShapeUdfs& s = shapes[i];
+    const CompiledFunction key = CompileSingleFunction(EngineMode::kGerenuk, job.engine.layouts(),
+                                                       job.udfs, s.get_key, nullptr);
+    const CompiledFunction reduce = CompileSingleFunction(
+        EngineMode::kGerenuk, job.engine.layouts(), job.udfs, s.reduce, nullptr);
+    ASSERT_NE(reduce.acc_fn, nullptr) << c.name;
+    const EmitFoldSpec fold{&key, &reduce};
+    const StagePrograms stage = CompileNarrowStage(
+        EngineMode::kGerenuk, job.engine.layouts(), job.pair, job.udfs,
+        {NarrowOp::FlatMap(s.flat_map, s.out)}, false, nullptr, nullptr,
+        job.engine.heap().klasses(), nullptr, PlanOptions(), &fold);
+    const Function& body = *stage.transformed->body;
+    EXPECT_EQ(CountOps(body, Op::kCall), c.fuses ? 0 : 1) << c.name;
+    EXPECT_EQ(CountOps(body, Op::kAbort), c.fuses ? 1 : 0) << c.name;  // n < 0
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kProbe), c.sinks ? 1 : 0) << c.name;
+    EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kStage), c.shape == Shape::kNarrowField ? 1 : 0)
+        << c.name;
+  }
+}
+
+// Fused or not, every shape ships the baseline's bytes on every runner and
+// worker count, and when a map task aborts after folding part of its
+// records, the slow path's re-run discards them.
+TEST(FusedFoldTest, FlatMapShapesMatchBaselineOnEveryRunnerAndWorkerCount) {
+  EngineConfig baseline = SparkWith(1);
+  baseline.execution.mode = EngineMode::kBaseline;
+  const std::vector<std::vector<uint8_t>> oracle = RunShapes(baseline, false);
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_FALSE(oracle[i].empty()) << kShapes[i].name;
+  }
+  for (Runner runner : {Runner::kInterpreter, Runner::kScalarPlan, Runner::kVecPlan}) {
+    for (int workers : kComposedWorkerCounts) {
+      // The map abort at one worker count per runner: the sweeps above
+      // already cross aborts with worker counts.
+      for (bool aborted : {false, true}) {
+        if (aborted && workers != 2) {
+          continue;
+        }
+        const std::vector<std::vector<uint8_t>> got =
+            RunShapes(ComposedConfig(runner, workers), aborted);
+        for (size_t i = 0; i < oracle.size(); ++i) {
+          EXPECT_EQ(got[i], oracle[i]) << kShapes[i].name << " runner "
+                                       << static_cast<int>(runner) << " workers=" << workers
+                                       << (aborted ? " map abort" : "");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
