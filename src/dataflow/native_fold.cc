@@ -55,19 +55,18 @@ KeyedNativeFold::KeyedNativeFold(const Function* fn, const Function* acc_fn, con
       scratch_(tracker),
       folder_(fn, acc_fn, klass, &scratch_) {}
 
-FoldAcc* KeyedNativeFold::Lookup(const ShuffleKey& key, bool* inserted) {
-  auto [it, fresh] = index_.try_emplace(key, accs_.size());
-  *inserted = fresh;
-  if (fresh) {
+FoldAcc* KeyedNativeFold::Lookup(const ShuffleKey& key, size_t hash, bool* inserted) {
+  const uint32_t id = index_.Insert(key, hash, inserted);
+  if (*inserted) {
     accs_.emplace_back();
   }
-  return &accs_[it->second];
+  return &accs_[id];
 }
 
 void KeyedNativeFold::Add(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key,
-                          int64_t addr, uint32_t size) {
+                          size_t hash, int64_t addr, uint32_t size) {
   bool inserted = false;
-  FoldAcc* acc = Lookup(key, &inserted);
+  FoldAcc* acc = Lookup(key, hash, &inserted);
   if (inserted) {
     *acc = FoldAcc{addr, size, false};
     return;
@@ -76,8 +75,8 @@ void KeyedNativeFold::Add(SerRunner& runner, BuilderStore& builders, const Shuff
 }
 
 void KeyedNativeFold::AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key,
-                                 int64_t addr, const Klass* klass) {
-  FoldAcc* acc = LookupEmitted(builders, key, addr, klass);
+                                 size_t hash, int64_t addr, const Klass* klass) {
+  FoldAcc* acc = LookupEmitted(builders, key, hash, addr, klass);
   if (acc == nullptr) {
     return;
   }
@@ -88,9 +87,9 @@ void KeyedNativeFold::AddEmitted(SerRunner& runner, BuilderStore& builders, cons
 }
 
 FoldAcc* KeyedNativeFold::LookupEmitted(BuilderStore& builders, const ShuffleKey& key,
-                                        int64_t addr, const Klass* klass) {
+                                        size_t hash, int64_t addr, const Klass* klass) {
   bool inserted = false;
-  FoldAcc* acc = Lookup(key, &inserted);
+  FoldAcc* acc = Lookup(key, hash, &inserted);
   if (inserted) {
     const int64_t body = builders.Render(addr, klass, scratch_);
     const uint32_t size = scratch_.record_size(scratch_.record_count() - 1);
@@ -101,23 +100,20 @@ FoldAcc* KeyedNativeFold::LookupEmitted(BuilderStore& builders, const ShuffleKey
   return acc;
 }
 
-int64_t KeyedNativeFold::Slot(BuilderStore& builders, const ShuffleKey& key, int64_t addr,
-                              const Klass* klass) {
-  FoldAcc* acc = LookupEmitted(builders, key, addr, klass);
+int64_t KeyedNativeFold::Slot(BuilderStore& builders, const ShuffleKey& key, size_t hash,
+                              int64_t addr, const Klass* klass) {
+  return OwnedSlot(LookupEmitted(builders, key, hash, addr, klass));
+}
+
+int64_t KeyedNativeFold::Probe(const ShuffleKey& key, size_t hash) {
+  const uint32_t id = index_.Find(key, hash);
+  return OwnedSlot(id == KeyIndex::kNotFound ? nullptr : &accs_[id]);
+}
+
+int64_t KeyedNativeFold::OwnedSlot(FoldAcc* acc) {
   if (acc == nullptr) {
     return 0;
   }
-  folds_ += 1;
-  folder_.Own(acc);
-  return acc->addr;
-}
-
-int64_t KeyedNativeFold::Probe(const ShuffleKey& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return 0;
-  }
-  FoldAcc* acc = &accs_[it->second];
   folds_ += 1;
   folder_.Own(acc);
   return acc->addr;
@@ -133,10 +129,10 @@ int64_t KeyedNativeFold::Stage(BuilderStore& builders, int64_t addr, const Klass
 }
 
 void KeyedNativeFold::Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key,
-                             int64_t rec) {
-  bool inserted = false;
-  FoldAcc* acc = Lookup(key, &inserted);
-  GERENUK_CHECK(!inserted && acc->owned);
+                             size_t hash, int64_t rec) {
+  const uint32_t id = index_.Find(key, hash);
+  GERENUK_CHECK(id != KeyIndex::kNotFound && accs_[id].owned);
+  FoldAcc* acc = &accs_[id];
   const int64_t before = 4 + int64_t{acc->size};
   folder_.Reduce(runner, builders, acc, rec);
   owned_bytes_ += 4 + int64_t{acc->size} - before;
@@ -181,7 +177,7 @@ void KeyedNativeFold::EmitTo(NativePartition& out) {
 }
 
 void KeyedNativeFold::Clear() {
-  index_.clear();
+  index_.Clear();
   accs_.clear();
   scratch_ = NativePartition(tracker_);
   owned_bytes_ = 0;

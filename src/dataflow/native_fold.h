@@ -15,10 +15,10 @@
 #define SRC_DATAFLOW_NATIVE_FOLD_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dataflow/dataset.h"
+#include "src/dataflow/key_index.h"
 
 namespace gerenuk {
 
@@ -62,7 +62,9 @@ class NativeFolder {
 // Groups records by shuffle key and folds each group, in arrival order, into
 // one accumulator per key. For an associative `fn` the result equals a fold
 // of the whole group in that order, however the records were split across
-// calls — which is what lets a map task pre-fold its output.
+// calls — which is what lets a map task pre-fold its output. Every call
+// takes the key with its ShuffleKey::Hash, which the caller computed once
+// (and used to pick this table).
 class KeyedNativeFold {
  public:
   KeyedNativeFold(const Function* fn, const Function* acc_fn, const Klass* klass,
@@ -74,12 +76,12 @@ class KeyedNativeFold {
   // Folds the committed record at `addr` into `key`'s accumulator. A
   // first-seen key keeps pointing at the record, which must outlive the
   // fold. Throws SerAbort when `fn` aborts.
-  void Add(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t addr,
-           uint32_t size);
+  void Add(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, size_t hash,
+           int64_t addr, uint32_t size);
   // Same for a record that will not outlive the call — a builder, or bytes
   // about to be reused: a first-seen key renders it into the scratch region.
-  void AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t addr,
-                  const Klass* klass);
+  void AddEmitted(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, size_t hash,
+                  int64_t addr, const Klass* klass);
   // AddEmitted in the steps a composed map stage's kFoldSlot statements
   // take (EmitFold): Slot renders a first-seen key's record and
   // returns 0, or counts a fold and returns the key's owned accumulator for
@@ -87,13 +89,15 @@ class KeyedNativeFold {
   // staging buffer (K with fields narrower than 8 bytes) and returns its
   // address, valid until the next Stage; Reduce folds with `fn` when the
   // accumulate form declined.
-  int64_t Slot(BuilderStore& builders, const ShuffleKey& key, int64_t addr, const Klass* klass);
+  int64_t Slot(BuilderStore& builders, const ShuffleKey& key, size_t hash, int64_t addr,
+               const Klass* klass);
   // Slot for a record not built yet: counts a fold and returns the key's
   // owned accumulator, or returns 0 for a first-seen key without inserting
   // it — the caller then builds the record and takes Slot.
-  int64_t Probe(const ShuffleKey& key);
+  int64_t Probe(const ShuffleKey& key, size_t hash);
   int64_t Stage(BuilderStore& builders, int64_t addr, const Klass* klass);
-  void Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, int64_t rec);
+  void Reduce(SerRunner& runner, BuilderStore& builders, const ShuffleKey& key, size_t hash,
+              int64_t rec);
   // Moves one record per key, in first-seen key order, into `out`. Hands the
   // scratch region itself over when `out` is empty and the region already
   // holds exactly that, so call it once, last.
@@ -104,11 +108,14 @@ class KeyedNativeFold {
   int64_t folds() const { return folds_; }
 
  private:
-  FoldAcc* Lookup(const ShuffleKey& key, bool* inserted);
+  FoldAcc* Lookup(const ShuffleKey& key, size_t hash, bool* inserted);
   // Null when `key` is first seen: its record is then rendered as the
   // accumulator.
-  FoldAcc* LookupEmitted(BuilderStore& builders, const ShuffleKey& key, int64_t addr,
-                         const Klass* klass);
+  FoldAcc* LookupEmitted(BuilderStore& builders, const ShuffleKey& key, size_t hash,
+                         int64_t addr, const Klass* klass);
+  // Slot's and Probe's result: 0 for a null `acc`; otherwise counts a fold
+  // and returns the accumulator, owned.
+  int64_t OwnedSlot(FoldAcc* acc);
   void FoldInto(SerRunner& runner, BuilderStore& builders, FoldAcc* acc, int64_t rec);
   // Copies the owned accumulators into a fresh region once superseded
   // results dominate the scratch region.
@@ -121,8 +128,8 @@ class KeyedNativeFold {
   bool builder_reads_exact_;
   NativePartition scratch_;
   NativeFolder folder_;
-  std::unordered_map<ShuffleKey, size_t, ShuffleKey::Hash> index_;  // key -> accs_ slot
-  std::vector<FoldAcc> accs_;
+  KeyIndex index_;
+  std::vector<FoldAcc> accs_;  // by group id
   ByteBuffer staged_;         // a builder rendered for folding (narrow fields)
   int64_t owned_bytes_ = 0;   // live owned accumulators, size prefixes included
   int64_t folds_ = 0;

@@ -1,10 +1,11 @@
 #include "src/dataflow/spark.h"
 
-#include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "src/analysis/ser_analyzer.h"
+#include "src/dataflow/key_index.h"
 #include "src/dataflow/native_fold.h"
 #include "src/ir/builder.h"
 #include "src/runtime/roots.h"
@@ -84,12 +85,15 @@ class TaskBroadcast {
   bool rooted_ = false;
 };
 
+using FoldTables = std::vector<std::unique_ptr<KeyedNativeFold>>;
+
 // The map task's side of a composed stage's kFoldSlot statements: one keyed
 // table per reduce bucket, picked by the key's hash exactly as a rendered
-// record's bucket would be.
+// record's bucket would be. The hash is computed once per statement and
+// handed to the table's index.
 class BucketFolds : public EmitFold {
  public:
-  BucketFolds(std::deque<KeyedNativeFold>* tables, const Klass* klass, bool key_is_string,
+  BucketFolds(const FoldTables* tables, const Klass* klass, bool key_is_string,
               EngineStats* stats)
       : tables_(tables), klass_(klass), key_is_string_(key_is_string), stats_(stats) {}
 
@@ -98,23 +102,24 @@ class BucketFolds : public EmitFold {
     if (ShuffleKeyInto(runner, key, key_is_string_, &key_)) {
       stats_->key_allocs_saved += 1;
     }
-    KeyedNativeFold& table = (*tables_)[ShuffleKey::Hash()(key_) % tables_->size()];
+    const size_t hash = ShuffleKey::Hash()(key_);
+    KeyedNativeFold& table = *(*tables_)[hash % tables_->size()];
     switch (mode) {
       case FoldSlotMode::kLookup:
-        return table.Slot(builders, key_, record, klass_);
+        return table.Slot(builders, key_, hash, record, klass_);
       case FoldSlotMode::kStage:
         return table.Stage(builders, record, klass_);
       case FoldSlotMode::kReduce:
-        table.Reduce(runner, builders, key_, record);
+        table.Reduce(runner, builders, key_, hash, record);
         return 0;
       case FoldSlotMode::kProbe:
-        return table.Probe(key_);
+        return table.Probe(key_, hash);
     }
     return 0;
   }
 
  private:
-  std::deque<KeyedNativeFold>* tables_;
+  const FoldTables* tables_;
   const Klass* klass_;
   bool key_is_string_;
   EngineStats* stats_;
@@ -342,14 +347,14 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
         // into them from the composed body's kFoldSlot statements, so a
         // record is never rendered into its bucket and read back; slow-path
         // emits fold through their own fold runner.
-        std::deque<KeyedNativeFold> tables;
+        FoldTables tables;
         BuilderStore slow_builders(layouts_);
         std::unique_ptr<SerRunner> slow_runner;
         BucketFolds folds(&tables, stage.out_klass, key.is_string, &ctx.stats());
         if (fold_at_emit) {
           for (size_t b = 0; b < task_buckets.size(); ++b) {
-            tables.emplace_back(combine_fn->fast_fn, combine_fn->acc_fn, stage.out_klass,
-                                &memory_);
+            tables.push_back(std::make_unique<KeyedNativeFold>(
+                combine_fn->fast_fn, combine_fn->acc_fn, stage.out_klass, &memory_));
           }
           io.fold = &folds;
           if (combine_fn->plan != nullptr) {
@@ -381,7 +386,8 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
             ctx.stats().key_allocs_saved += 1;
           }
           const ShuffleKeyValue& k = *scratch;
-          size_t b = hasher(k) % task_buckets.size();
+          const size_t hash = hasher(k);
+          const size_t b = hash % task_buckets.size();
           TraceSpan ser_span(ctx.trace_sink(), TraceEventType::kSerialize, "serialize");
           ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
           ByteBuffer body;
@@ -391,8 +397,8 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
               slow_runner = MakeFastRunner(combine_fn->plan.get(), *combine_fn->transformed,
                                            ctx.heap(), ctx.wk(), &layouts_, &slow_builders);
             }
-            tables[b].AddEmitted(*slow_runner, slow_builders, k,
-                                 reinterpret_cast<int64_t>(body.data() + 4), klass);
+            tables[b]->AddEmitted(*slow_runner, slow_builders, k, hash,
+                                  reinterpret_cast<int64_t>(body.data() + 4), klass);
             return;
           }
           task_buckets[b].AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
@@ -402,14 +408,14 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
           for (NativePartition& bucket : task_buckets) {
             bucket.Release();
           }
-          for (KeyedNativeFold& table : tables) {
-            table.Clear();
+          for (const std::unique_ptr<KeyedNativeFold>& table : tables) {
+            table->Clear();
           }
         };
         RunTask(exec, io, ctx, speculate);
         for (size_t b = 0; b < tables.size(); ++b) {
-          tables[b].EmitTo(task_buckets[b]);
-          ctx.stats().combine_calls += tables[b].folds();
+          tables[b]->EmitTo(task_buckets[b]);
+          ctx.stats().combine_calls += tables[b]->folds();
           ctx.stats().shuffle_bytes += task_buckets[b].bytes_used();
         }
         if (speculate && combine_fn != nullptr && !fold_at_emit) {
@@ -456,7 +462,8 @@ void SparkEngine::CombineMapOutput(WorkerContext& ctx, const KeySpec& key,
                                &scratch)) {
           ctx.stats().key_allocs_saved += 1;
         }
-        fold.Add(*runner, builders, scratch, addr, bucket.record_size(r));
+        fold.Add(*runner, builders, scratch, ShuffleKeyHash()(scratch), addr,
+                 bucket.record_size(r));
       }
     } catch (const SerAbort& abort) {
       // Not an EngineStats abort: the map output already committed, and the
@@ -593,7 +600,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
                                    key.is_string, &scratch)) {
               ctx.stats().key_allocs_saved += 1;
             }
-            fold.Add(*reduce_runner, builders, scratch, addr, size);
+            fold.Add(*reduce_runner, builders, scratch, ShuffleKeyHash()(scratch), addr, size);
           });
           fold.EmitTo(out_part);
           ctx.stats().fast_path_commits += 1;
@@ -625,7 +632,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
           Interpreter reduce_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
           Interpreter key_interp(*key_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
           ComputePhaseScope compute(ctx.stats().times);
-          std::unordered_map<ShuffleKeyValue, size_t, ShuffleKeyHash> agg;
+          KeyIndex agg;  // group id: the key's slot in `values`
           std::vector<ObjRef> values;
           ctx.heap().AddRootVector(&values);
           shuffle.ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
@@ -637,18 +644,17 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
             }
             RootScope scope(ctx.heap());
             size_t rec_slot = scope.Push(rec);
-            ShuffleKeyValue k = EvalShuffleKey(key_interp, key_c.orig_fn,
-                                               Value::Ref(static_cast<int64_t>(rec)),
-                                               key.is_string);
-            auto it = agg.find(k);
-            if (it == agg.end()) {
-              agg.emplace(std::move(k), values.size());
+            const ShuffleKeyValue k = EvalShuffleKey(
+                key_interp, key_c.orig_fn, Value::Ref(static_cast<int64_t>(rec)), key.is_string);
+            bool first = false;
+            const uint32_t slot = agg.Insert(k, ShuffleKeyHash()(k), &first);
+            if (first) {
               values.push_back(scope.Get(rec_slot));
             } else {
               Value merged = reduce_interp.CallFunction(
-                  reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
+                  reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[slot])),
                                      Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-              values[it->second] = static_cast<ObjRef>(merged.i);
+              values[slot] = static_cast<ObjRef>(merged.i);
             }
           });
           for (ObjRef ref : values) {
@@ -791,7 +797,12 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
                            &layouts_, &builders, {lkey.plan.get(), rkey.plan.get()});
         SerRunner& interp = *runner;
         ComputePhaseScope compute(ctx.stats().times);
-        std::unordered_map<ShuffleKeyValue, std::vector<int64_t>, ShuffleKeyHash> table;
+        // The build side by key. Each key's records chain in arrival order:
+        // chain[group] holds the group's first and last row, and rows[r] a
+        // record and the next row of its group (kNotFound after the last).
+        KeyIndex index;
+        std::vector<std::pair<int64_t, uint32_t>> rows;
+        std::vector<std::pair<uint32_t, uint32_t>> chain;
         ShuffleKeyValue scratch_key;
         BucketReader build_side = lrun.OpenBucket(p, &ctx.stats(), ctx.trace_sink());
         build_side.ForEachRecord([&](int64_t addr, uint32_t /*size*/) {
@@ -799,7 +810,16 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
                                  &scratch_key)) {
             ctx.stats().key_allocs_saved += 1;
           }
-          table[scratch_key].push_back(addr);
+          const uint32_t row = static_cast<uint32_t>(rows.size());
+          rows.emplace_back(addr, KeyIndex::kNotFound);
+          bool first = false;
+          const uint32_t group = index.Insert(scratch_key, ShuffleKeyHash()(scratch_key), &first);
+          if (first) {
+            chain.emplace_back(row, row);
+          } else {
+            rows[chain[group].second].second = row;
+            chain[group].second = row;
+          }
         });
         rrun.ForEachRecordInBucket(
             p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t /*size*/) {
@@ -807,13 +827,13 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
                                      right_key.is_string, &scratch_key)) {
                 ctx.stats().key_allocs_saved += 1;
               }
-              auto it = table.find(scratch_key);
-              if (it == table.end()) {
+              const uint32_t group = index.Find(scratch_key, ShuffleKeyHash()(scratch_key));
+              if (group == KeyIndex::kNotFound) {
                 return;
               }
-              for (int64_t laddr : it->second) {
-                Value combined = interp.CallFunction(combine.fast_fn,
-                                                     {Value::Addr(laddr), Value::Addr(addr)});
+              for (uint32_t r = chain[group].first; r != KeyIndex::kNotFound; r = rows[r].second) {
+                Value combined = interp.CallFunction(
+                    combine.fast_fn, {Value::Addr(rows[r].first), Value::Addr(addr)});
                 builders.Render(combined.i, out_klass, out_part);
                 builders.Clear();
               }

@@ -768,13 +768,15 @@ void TaskScheduler::ExecutorChildMain(int fd, int slot, const StageCodec& codec)
       ctx.stats() = EngineStats{};
       ctx.BeginAttempt(run_attempt, policy_.task_deadline_ms);
       (*current_)(ctx, run_task);
-      ByteBuffer ok;
-      ok.WriteU32(static_cast<uint32_t>(run_task));
-      ok.WriteU32(static_cast<uint32_t>(run_attempt));
-      ByteBuffer stats_blob;
-      SerializeEngineStats(ctx.stats(), &stats_blob);
-      ok.WriteU32(static_cast<uint32_t>(stats_blob.size()));
-      ok.WriteBytes(stats_blob.data(), stats_blob.size());
+      // Task, attempt and the stats' byte size (patched once written), then
+      // the stats, written in place. The header fits the reserved capacity,
+      // so its append never takes the growth path.
+      const uint32_t header[3] = {static_cast<uint32_t>(run_task),
+                                  static_cast<uint32_t>(run_attempt), 0};
+      ByteBuffer ok(sizeof(header));
+      ok.WriteBytes(header, sizeof(header));
+      SerializeEngineStats(ctx.stats(), &ok);
+      ok.PatchU32(8, static_cast<uint32_t>(ok.size() - sizeof(header)));
       codec.encode(run_task, &ok);
       if (!WriteFrame(fd, ExecMsg::kTaskOk, ok.data(), ok.size(), &write_mu)) {
         break;

@@ -242,7 +242,7 @@ std::string PrintFunction(const Function& func) {
         out << "L" << s.label << ":";
         break;
       case Op::kReturn:
-        out << "return" << (s.a >= 0 ? " " + VarName(func, s.a) : "");
+        out << "return" << (s.a >= 0 ? ' ' + VarName(func, s.a) : "");
         break;
       case Op::kGetAddress:
         out << VarName(func, s.dst) << " = getAddress()";

@@ -1,10 +1,10 @@
 #include "src/mapreduce/hadoop.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <string>
 
+#include "src/dataflow/key_index.h"
 #include "src/dataflow/native_fold.h"
 #include "src/support/fnv.h"
 
@@ -12,9 +12,9 @@ namespace gerenuk {
 
 namespace {
 
-// One map task's sort buffer. An emit joins its key's group through a hash
-// index, reusing the hash that picks its reducer partition, so an entry
-// carries a group id instead of a key copy and a spill sorts the distinct
+// One map task's sort buffer. An emit joins its key's group through the key
+// index, with the hash that picks its reducer partition, so an entry carries
+// a group id instead of a key copy and a spill sorts the distinct
 // (partition, key) groups only.
 class SortBuffer {
  public:
@@ -25,23 +25,14 @@ class SortBuffer {
   };
 
   void Add(const ShuffleKey& key, int reducers, int64_t at, uint32_t size) {
-    if (2 * groups_.size() + 2 > slots_.size()) {
-      Rehash(std::max<size_t>(64, 2 * slots_.size()));
-    }
     const size_t hash = ShuffleKey::Hash()(key);
-    size_t s = Slot(hash);
-    for (; slots_[s] != 0; s = (s + 1) & (slots_.size() - 1)) {
-      const Group& g = groups_[slots_[s] - 1];
-      if (g.hash == hash && g.key == key) {
-        break;
-      }
+    bool inserted = false;
+    const uint32_t group = index_.Insert(key, hash, &inserted);
+    if (inserted) {
+      groups_.push_back({static_cast<int>(hash % static_cast<size_t>(reducers)), 0});
     }
-    if (slots_[s] == 0) {
-      groups_.push_back({key, hash, static_cast<int>(hash % static_cast<size_t>(reducers)), 0});
-      slots_[s] = static_cast<uint32_t>(groups_.size());
-    }
-    groups_[slots_[s] - 1].count += 1;
-    entries_.push_back({slots_[s] - 1, size, at});
+    groups_[group].count += 1;
+    entries_.push_back({group, size, at});
   }
 
   bool empty() const { return entries_.empty(); }
@@ -55,9 +46,9 @@ class SortBuffer {
     order_.resize(groups_.size());
     std::iota(order_.begin(), order_.end(), 0u);
     std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
-      const Group& x = groups_[a];
-      const Group& y = groups_[b];
-      return x.part != y.part ? x.part < y.part : x.key < y.key;
+      const int x = groups_[a].part;
+      const int y = groups_[b].part;
+      return x != y ? x < y : index_.key(a) < index_.key(b);
     });
     // One counting pass: each entry goes to its group's next free slot, so
     // next_[g] ends at group g's end.
@@ -75,41 +66,25 @@ class SortBuffer {
       Group& group = groups_[g];
       const Entry* last = placed_.data() + next_[g];
       uint32_t count = write(group.part, last - group.count, last);
-      segment->runs[static_cast<size_t>(group.part)].push_back({std::move(group.key), count});
+      segment->runs[static_cast<size_t>(group.part)].push_back({std::move(index_.key(g)), count});
     }
     Clear();
   }
 
   void Clear() {
+    index_.Clear();
     groups_.clear();
     entries_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0u);
   }
 
  private:
   struct Group {
-    ShuffleKey key;
-    size_t hash;
     int part;
     uint32_t count;
   };
 
-  size_t Slot(size_t hash) const { return (hash * 0x9e3779b97f4a7c15ULL) >> shift_; }
-  void Rehash(size_t size) {
-    slots_.assign(size, 0u);
-    shift_ = 64 - std::countr_zero(size);
-    for (uint32_t g = 0; g < groups_.size(); ++g) {
-      size_t s = Slot(groups_[g].hash);
-      while (slots_[s] != 0) {
-        s = (s + 1) & (size - 1);
-      }
-      slots_[s] = g + 1;
-    }
-  }
-
-  std::vector<Group> groups_;
-  std::vector<uint32_t> slots_;  // open addressing: group id + 1, 0 = empty
-  int shift_ = 64;
+  KeyIndex index_;
+  std::vector<Group> groups_;    // by group id
   std::vector<Entry> entries_;   // emit order
   std::vector<uint32_t> order_;  // group ids in (partition, key) order
   std::vector<uint32_t> next_;

@@ -66,13 +66,27 @@ std::vector<size_t> Defs(const Function& func, int var) {
   return defs;
 }
 
+// The kConst that is `var`'s only definition in `func`, if any: a return of
+// `var` can then jump on its value directly.
+const Statement* ConstDef(const Function& func, int var) {
+  const std::vector<size_t> defs = var < 0 ? std::vector<size_t>() : Defs(func, var);
+  const Statement* def = defs.size() == 1 ? &func.body[defs[0]] : nullptr;
+  return def != nullptr && def->op == Op::kConst && def->imm.tag == ValueTag::kI64 ? def : nullptr;
+}
+
 // Appends `callee`'s body to `out` with its variables and labels renamed
 // into fresh ones of `caller`: a parameter the callee never writes is
 // args[i] itself, any other starts as a copy of it; each return assigns the
 // returned value to the result variable and leaves. Returns the result
 // variable (-1 for a void callee).
+//
+// With `taken` >= 0 the callee returns a flag, and its returns become jumps
+// instead: a nonzero flag goes to label `taken`, a zero flag leaves the
+// inlined code. A constant flag is a plain jump (its kConst, now unread, is
+// hoisted out of the plan); any other is `if v goto taken`, then leaves. No
+// result variable is made.
 int Inline(Function* caller, int* next_label, const Function& callee,
-           const std::vector<int>& args, std::vector<Statement>* out) {
+           const std::vector<int>& args, std::vector<Statement>* out, int taken = -1) {
   GERENUK_CHECK_EQ(static_cast<int>(args.size()), callee.num_params) << callee.name;
   std::vector<int> renamed(callee.vars.size(), -1);
   for (int i = 0; i < callee.num_params; ++i) {
@@ -91,8 +105,9 @@ int Inline(Function* caller, int* next_label, const Function& callee,
       }
     }
   }
-  const int result =
-      callee.return_type.kind == IrType::kVoid ? -1 : NewVar(caller, callee.return_type);
+  const int result = callee.return_type.kind == IrType::kVoid || taken >= 0
+                         ? -1
+                         : NewVar(caller, callee.return_type);
   const int label_base = *next_label;
   *next_label += NextLabel(callee);
   const int leave = (*next_label)++;
@@ -101,8 +116,14 @@ int Inline(Function* caller, int* next_label, const Function& callee,
     Statement s = callee.body[i];
     GERENUK_CHECK(s.op != Op::kCall) << callee.name << " must not call helper functions";
     if (s.op == Op::kReturn) {
-      if (s.a >= 0) {
+      const Statement* flag = taken >= 0 ? ConstDef(callee, s.a) : nullptr;
+      if (taken < 0 && s.a >= 0) {
         out->push_back(Make(Op::kAssign, result, var(s.a)));
+      } else if (taken >= 0 && flag == nullptr) {
+        out->push_back(Goto(Op::kBranch, taken, var(s.a)));
+      } else if (flag != nullptr && flag->imm.i != 0) {
+        out->push_back(Goto(Op::kJump, taken));
+        continue;
       }
       if (i + 1 < callee.body.size()) {
         out->push_back(Goto(Op::kJump, leave));
@@ -510,10 +531,11 @@ void ComposeEmitFold(SerProgram* program, const Function& key_fn, const Function
       out.push_back(slot);
       return slot.dst;
     };
-    auto inline_forwarded = [&](const Function& fn, const std::vector<int>& args) {
+    auto inline_forwarded = [&](const Function& fn, const std::vector<int>& args,
+                                int taken = -1) {
       const size_t from = out.size();
       const int caller_vars = static_cast<int>(body->vars.size());
-      const int result = Inline(body, &next_label, fn, args, &out);
+      const int result = Inline(body, &next_label, fn, args, &out, taken);
       ForwardReads(&out, from, s.a, build);
       // A function whose one return hands back a forwarded value (a key
       // function reading one field) needs no result copy: the caller reads
@@ -549,8 +571,7 @@ void ComposeEmitFold(SerProgram* program, const Function& key_fn, const Function
     out.push_back(first);
     out.push_back(Goto(Op::kBranch, first_seen, first.dst));
     const int record = stage ? fold_slot(FoldSlotMode::kStage, s.a, key, true) : s.a;
-    const int folded = inline_forwarded(acc_fn, {acc, record});
-    out.push_back(Goto(Op::kBranch, done, folded));
+    inline_forwarded(acc_fn, {acc, record}, done);  // a fold jumps to done, a decline falls out
     if (sink) {
       emit_build();
     }

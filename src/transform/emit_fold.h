@@ -12,16 +12,19 @@
 //     if (!acc) goto done
 //     [x = foldSlot<kStage>(x, k)]         // only when K has a primitive
 //                                          // field narrower than 8 bytes
-//     ok  = <accumulate form inlined>(acc, x)
-//     if (ok) goto done
+//     <accumulate form inlined>(acc, x)    // each return a jump: a fold
+//                                          // to done, a decline falls out
 //     foldSlot<kReduce>(x, k)              // declined: the full reduce
 //   done:
 //
 // so constant folding, fusion and the vec pass see the fold body, and no
-// call is left per emitted record. kFoldSlot is the one statement that
-// reaches the engine (EmitFold in src/exec/interpreter.h); it keeps
-// KeyedNativeFold's rules — first-seen key order per bucket, render before
-// fold for narrow fields, full reduce when the accumulate form declines.
+// call is left per emitted record. The accumulate form's constant returns
+// (`return 1` after its writes, `return 0` where it declines) become plain
+// jumps, so no flag is set and tested per emit; a computed return becomes
+// `if v goto done`. kFoldSlot is the one statement that reaches the engine
+// (EmitFold in src/exec/interpreter.h); it keeps KeyedNativeFold's rules —
+// first-seen key order per bucket, render before fold for narrow fields,
+// full reduce when the accumulate form declines.
 //
 // Two more rewrites shrink what an emitted record costs before the fold:
 //
@@ -38,8 +41,7 @@
 //       k   = <key function inlined, reads forwarded>
 //       acc = foldSlot<kProbe>(k)
 //       if (!acc) goto first
-//       ok  = <accumulate form inlined, reads forwarded>(acc)
-//       if (ok) goto done
+//       <accumulate form inlined, reads forwarded>(acc)  // fold: goto done
 //       <build x>; foldSlot<kReduce>(x, k); goto done
 //     first:
 //       <build x>; foldSlot<kLookup>(x, k)

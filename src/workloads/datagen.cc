@@ -96,7 +96,7 @@ std::vector<SyntheticPost> MakePosts(int64_t count, int64_t users, int topics, u
       if (w > 0) {
         post.text += ' ';
       }
-      post.text += "w" + std::to_string(vocab.Sample(rng));
+      post.text += 'w' + std::to_string(vocab.Sample(rng));
     }
     posts.push_back(std::move(post));
   }

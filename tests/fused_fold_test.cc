@@ -11,17 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/dataflow/stage_compiler.h"
-#include "src/serde/inline_serializer.h"
+#include "src/exec/plan.h"
 #include "src/support/trace.h"
+#include "src/transform/emit_fold.h"
+#include "src/transform/transformer.h"
 #include "src/workloads/spark_workloads.h"
 #include "tests/pair_job.h"
 
@@ -170,25 +174,6 @@ const char* SumName(Sum sum) {
 
 constexpr Sum kSums[] = {Sum::kI64, Sum::kF64, Sum::kNarrow, Sum::kNarrowWiden};
 
-// A reduce's output as native record bodies: the dataset's bytes in
-// Gerenuk mode, the baseline's heap records rendered to the native format.
-std::vector<uint8_t> OutputBytes(const EngineConfig& config, SparkJob& job,
-                                 const DatasetPtr& out) {
-  if (config.execution.mode == EngineMode::kGerenuk) {
-    return DatasetBytes(out);
-  }
-  std::vector<uint8_t> bytes;
-  InlineSerializer serde(job.engine.heap());
-  for (const std::vector<ObjRef>& part : out->heap_parts) {
-    for (ObjRef ref : part) {
-      ByteBuffer record;
-      serde.WriteRecord(ref, out->klass, record);
-      bytes.insert(bytes.end(), record.data() + 4, record.data() + record.size());
-    }
-  }
-  return bytes;
-}
-
 // One ReduceByKey over 1000 records: the Pair double sum (its values are
 // small integers, exact in any order), the Tally integer sum, or the Narrow
 // fold. With `abort_map_task`, map task 1 aborts at record kAbortRecord on
@@ -251,7 +236,7 @@ Run RunSum(const EngineConfig& config, Sum sum, bool abort_map_task) {
               nullptr)
         << SumName(sum);
   }
-  return Run{OutputBytes(config, job, out), job.engine.stats()};
+  return Run{OutputBytes(job.engine, out), job.engine.stats()};
 }
 
 void ExpectFusedFold(const Run& run, const std::vector<uint8_t>& oracle, bool aborted,
@@ -424,13 +409,37 @@ int64_t CountFoldSlots(const Function& f, FoldSlotMode mode) {
   });
 }
 
+// Whether every definition of `var` in `f` is a constant or a copy of one:
+// a flag whose branch could have been a plain jump.
+bool IsConstantFlag(const Function& f, int var, int depth = 0) {
+  bool defined = false;
+  for (const Statement& s : f.body) {
+    if (s.dst != var) {
+      continue;
+    }
+    defined = true;
+    if (s.op != Op::kConst &&
+        !(s.op == Op::kAssign && depth < 8 && IsConstantFlag(f, s.a, depth + 1))) {
+      return false;
+    }
+  }
+  return defined;
+}
+
+int64_t CountBranchesOnConstants(const Function& f) {
+  return std::count_if(f.body.begin(), f.body.end(), [&f](const Statement& s) {
+    return s.op == Op::kBranch && IsConstantFlag(f, s.a);
+  });
+}
+
 // Each program's map stage composes: the transformed body has no emit left
 // and folds through kFoldSlot, while the original (the slow path) still
 // emits heap records. CS, GB and PR fill one K[n] array in a counted loop,
 // so their flatMap call and element loop are gone too, and each emitted
 // record is built only for a first-seen key or a declined fold (kProbe
-// first). KM maps; CC attaches a tail element after its loop and WC at a
-// counter, so they keep the map UDF's call.
+// first). KM and LR map; CC attaches a tail element after its loop and WC
+// at a counter, so they keep the map UDF's call. The inlined accumulate
+// form leaves by jumps: no branch tests a constant flag.
 TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
   SparkEngine engine(SparkWith(1));
   SparkWorkloads w(engine);
@@ -447,6 +456,8 @@ TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
   const Stage stages[] = {
       {"KM", NarrowOp::Map(fn("km_assign"), w.cluster_stat), {fn("km_key"), false},
        fn("km_merge"), w.point, w.centers, false},
+      {"LR", NarrowOp::Map(fn("lr_grad"), w.grad_vec), {fn("lr_key"), false}, fn("lr_add"),
+       w.labeled_point, w.weights, false},
       {"WC", NarrowOp::FlatMap(fn("wc_tokenize"), w.word_count), {fn("wc_key"), true},
        fn("wc_sum"), w.line, nullptr, false},
       {"CC", NarrowOp::FlatMap(fn("cc_spread"), w.rank), {fn("pr_rank_key"), false},
@@ -483,6 +494,7 @@ TEST(FusedFoldTest, WorkloadMapStagesComposeTheirFold) {
     EXPECT_EQ(CountFoldSlots(body, FoldSlotMode::kProbe), stage.fuses ? 1 : 0) << stage.name;
     EXPECT_EQ(CountOps(body, Op::kCall), stage.fuses ? 0 : 1) << stage.name;  // the map UDF
     EXPECT_EQ(CountOps(body, Op::kAppendArray), 0) << stage.name;
+    EXPECT_EQ(CountBranchesOnConstants(body), 0) << stage.name;
     EXPECT_EQ(CountOps(*composed.original->body, Op::kSerialize), 1) << stage.name;
     EXPECT_EQ(CountOps(*plain.transformed->body, Op::kGWriteObject), 1) << stage.name;
     EXPECT_EQ(CountOps(*plain.transformed->body, Op::kCall), 1) << stage.name;
@@ -757,7 +769,7 @@ std::vector<std::vector<uint8_t>> RunShapes(const EngineConfig& config, bool abo
     }
     DatasetPtr out = job.engine.ReduceByKey(in, job.udfs, {NarrowOp::FlatMap(s.flat_map, s.out)},
                                             KeySpec{s.get_key, false}, s.reduce);
-    bytes.push_back(OutputBytes(config, job, out));
+    bytes.push_back(OutputBytes(job.engine, out));
   }
   return bytes;
 }
@@ -814,6 +826,180 @@ TEST(FusedFoldTest, FlatMapShapesMatchBaselineOnEveryRunnerAndWorkerCount) {
         }
       }
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// An accumulate form whose return is computed
+// ---------------------------------------------------------------------------
+
+// The engine side of a hand-composed stage: one committed Tally{key, n}
+// accumulator per key, in first-seen order. kLookup hands an existing key's
+// accumulator to the inlined accumulate form, and kReduce — a declined
+// fold — adds the record's n itself.
+class TallyFold : public EmitFold {
+ public:
+  int64_t Slot(FoldSlotMode mode, int64_t record, Value key, SerRunner& /*runner*/,
+               BuilderStore& /*builders*/) override {
+    const auto it = std::find(keys_.begin(), keys_.end(), key.i);
+    const int64_t* rec = reinterpret_cast<const int64_t*>(record);
+    if (mode == FoldSlotMode::kLookup && it == keys_.end()) {
+      keys_.push_back(key.i);
+      accs_.push_back({rec[0], rec[1]});
+      return 0;
+    }
+    EXPECT_NE(it, keys_.end());
+    std::array<int64_t, 2>& acc = accs_[static_cast<size_t>(it - keys_.begin())];
+    if (mode == FoldSlotMode::kReduce) {
+      declined += 1;
+      acc[1] += rec[1];
+      return 0;
+    }
+    EXPECT_EQ(mode, FoldSlotMode::kLookup);
+    lookups += 1;
+    return reinterpret_cast<int64_t>(acc.data());
+  }
+
+  std::vector<int64_t> Result() const {
+    std::vector<int64_t> out;
+    for (const std::array<int64_t, 2>& acc : accs_) {
+      out.insert(out.end(), acc.begin(), acc.end());
+    }
+    return out;
+  }
+
+  int64_t lookups = 0;
+  int64_t declined = 0;
+
+ private:
+  std::vector<int64_t> keys_;
+  std::deque<std::array<int64_t, 2>> accs_;  // stable addresses
+};
+
+// tally_acc(a, b) adds b.n into a.n in place when b.n >= 0 and otherwise
+// declines untouched; it returns the comparison, not a constant. Composed
+// into `gWriteObject(rec)`, that return lowers to `if ok goto done`, and
+// the interpreter, the scalar plan and the vec plan fold the same bytes on
+// the done path and on the declined path.
+TEST(FusedFoldTest, ComputedAccumulateReturnFoldsOnEveryRunner) {
+  Heap heap(HeapConfig{8u << 20, GcKind::kGenerational, 0.55, 0.35, 2});
+  WellKnown wk(heap);
+  ExprPool pool;
+  DataStructAnalyzer layouts(pool);
+  const Klass* tally = heap.klasses().DefineClass("Tally", {
+                                                               {"key", FieldKind::kI64, nullptr, 0},
+                                                               {"n", FieldKind::kI64, nullptr, 0},
+                                                           });
+  std::string error;
+  ASSERT_TRUE(layouts.AnalyzeTopLevel(tally, &error)) << error;
+  const ClassLayout& layout = *layouts.LayoutOf(tally);
+  ASSERT_TRUE(layout.fields[0].is_constant && layout.fields[0].const_offset == 0);
+  ASSERT_TRUE(layout.fields[1].is_constant && layout.fields[1].const_offset == 8);
+
+  // Hand-written in transformed form: field loads read native bytes, and
+  // the accumulate form's store writes its owned accumulator.
+  SerProgram prog;
+  auto lower = [&layouts](Function* f) {
+    for (Statement& st : f->body) {
+      if (st.op == Op::kFieldLoad || st.op == Op::kFieldStore) {
+        const bool load = st.op == Op::kFieldLoad;
+        BindFieldSlot(layouts, &st);
+        st.op = load ? Op::kReadNative : Op::kWriteOwned;
+      }
+    }
+  };
+  Function* key_fn = prog.AddFunction("tally_key");
+  {
+    FunctionBuilder b(key_fn);
+    int rec = b.Param("rec", IrType::Ref(tally));
+    key_fn->return_type = IrType::I64();
+    b.Return(b.FieldLoad(rec, tally, "key"));
+    b.Done();
+    lower(key_fn);
+  }
+  Function* acc_fn = prog.AddFunction("tally_acc");
+  {
+    FunctionBuilder b(acc_fn);
+    int a = b.Param("a", IrType::Ref(tally));
+    int c = b.Param("b", IrType::Ref(tally));
+    acc_fn->return_type = IrType::I64();
+    int n = b.FieldLoad(c, tally, "n");
+    int ok = b.BinOp(BinOpKind::kGe, n, b.ConstI(0));
+    b.If(ok, [&] {
+      b.FieldStore(a, tally, "n", b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, tally, "n"), n));
+    });
+    b.Return(ok);
+    b.Done();
+    lower(acc_fn);
+  }
+  Function* body = prog.AddFunction("stage_body");
+  {
+    FunctionBuilder b(body);
+    int rec = b.Param("rec", IrType::Ref(tally));
+    Statement emit;
+    emit.op = Op::kGWriteObject;
+    emit.a = rec;
+    emit.klass = tally;
+    body->body.push_back(emit);
+    b.Return();
+    b.Done();
+  }
+  prog.body = body;
+  ComposeEmitFold(&prog, *key_fn, *acc_fn, tally);
+  EXPECT_EQ(CountBranchesOnConstants(*body), 0);
+  EXPECT_EQ(CountOps(*body, Op::kCall), 0);
+  // `return ok` became one branch to done on the inlined comparison itself
+  // (the If inside branches on its negation).
+  const std::vector<Statement>& code = body->body;
+  EXPECT_EQ(std::count_if(code.begin(), code.end(),
+                          [&code](const Statement& st) {
+                            const auto def = std::find_if(
+                                code.begin(), code.end(),
+                                [&st](const Statement& d) { return d.dst == st.a; });
+                            return st.op == Op::kBranch && def != code.end() &&
+                                   def->op == Op::kBinOp && def->binop == BinOpKind::kGe;
+                          }),
+            1);
+
+  // Keys i % 7, n in -2..2: a negative n declines unless its key is new.
+  constexpr int64_t kTallies = 70;
+  std::vector<std::array<int64_t, 2>> records;
+  std::vector<int64_t> want(14, 0);
+  int64_t want_declined = 0;
+  for (int64_t i = 0; i < kTallies; ++i) {
+    records.push_back({i % 7, i % 5 - 2});
+    want[static_cast<size_t>(2 * (i % 7))] = i % 7;
+    want[static_cast<size_t>(2 * (i % 7) + 1)] += i % 5 - 2;
+    want_declined += i >= 7 && i % 5 < 2;
+  }
+  pool.FoldConstants();
+  BuilderStore builders(layouts);
+  PlanOptions scalar_options;
+  scalar_options.vectorize = false;
+  PlanOptions vec_options;
+  vec_options.vector_batch_size = 3;
+  const std::shared_ptr<const SerPlan> scalar = CompilePlan(prog, layouts, scalar_options);
+  const std::shared_ptr<const SerPlan> vec = CompilePlan(prog, layouts, vec_options);
+  Interpreter interp(prog, heap, wk, &layouts, &builders);
+  PlanExecutor scalar_exec(*scalar, heap, wk, &layouts, &builders);
+  PlanExecutor vec_exec(*vec, heap, wk, &layouts, &builders);
+  const std::pair<const char*, SerRunner*> runners[] = {
+      {"interpreter", &interp}, {"scalar plan", &scalar_exec}, {"vec plan", &vec_exec}};
+  for (const auto& [name, runner] : runners) {
+    TallyFold fold;
+    RecordChannel channel;
+    channel.fold = &fold;
+    runner->set_channel(&channel);
+    for (const std::array<int64_t, 2>& rec : records) {
+      const Value arg = Value::Addr(reinterpret_cast<int64_t>(rec.data()));
+      runner->CallFunction(prog.body, &arg, 1);
+    }
+    EXPECT_EQ(fold.Result(), want) << name;
+    EXPECT_EQ(fold.lookups, kTallies - 7) << name;
+    EXPECT_EQ(fold.declined, want_declined) << name;
+    EXPECT_GT(fold.declined, 0) << name;
+    EXPECT_LT(fold.declined, fold.lookups) << name;  // and some folded in place
   }
 }
 

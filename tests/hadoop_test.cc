@@ -495,7 +495,7 @@ std::vector<MapSegment> RandomSegments(Rng& rng, int partitions, bool string_key
         ShuffleKey run_key;
         run_key.is_string = string_keys;
         if (string_keys) {
-          run_key.s = "w" + std::to_string(100000 + key);
+          run_key.s = 'w' + std::to_string(100000 + key);
         } else {
           run_key.i = key;
         }

@@ -11,6 +11,7 @@
 #include "src/dataflow/spark.h"
 #include "src/ir/builder.h"
 #include "src/mapreduce/hadoop.h"
+#include "src/serde/inline_serializer.h"
 
 namespace gerenuk {
 
@@ -178,6 +179,25 @@ inline std::vector<uint8_t> DatasetBytes(const DatasetPtr& ds) {
     for (size_t r = 0; r < part.record_count(); ++r) {
       const uint8_t* p = reinterpret_cast<const uint8_t*>(part.record_addr(r));
       bytes.insert(bytes.end(), p, p + part.record_size(r));
+    }
+  }
+  return bytes;
+}
+
+// A Spark dataset's records as native record bodies in either mode: the
+// dataset's bytes in Gerenuk mode, the baseline's heap records rendered to
+// the native format.
+inline std::vector<uint8_t> OutputBytes(SparkEngine& engine, const DatasetPtr& out) {
+  if (engine.mode() == EngineMode::kGerenuk) {
+    return DatasetBytes(out);
+  }
+  std::vector<uint8_t> bytes;
+  InlineSerializer serde(engine.heap());
+  for (const std::vector<ObjRef>& part : out->heap_parts) {
+    for (ObjRef ref : part) {
+      ByteBuffer record;
+      serde.WriteRecord(ref, out->klass, record);
+      bytes.insert(bytes.end(), record.data() + 4, record.data() + record.size());
     }
   }
   return bytes;

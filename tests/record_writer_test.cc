@@ -114,7 +114,7 @@ class Generator {
     std::vector<FieldInfo> fields;
     const int n = 1 + static_cast<int>(rng_.NextBounded(5));
     for (int f = 0; f < n; ++f) {
-      const std::string name = "f" + std::to_string(f);
+      const std::string name = 'f' + std::to_string(f);
       const uint64_t pick = rng_.NextBounded(depth < 2 ? 10 : 5);
       if (pick < 4 || (fixed && pick >= 5 && pick != 6)) {
         fields.push_back({name, Prim(), nullptr, 0});
@@ -137,7 +137,7 @@ class Generator {
                       : field.target == wk_.string_klass() ? "String"
                                                            : "ref");
     }
-    return reg_.DefineClass("K" + std::to_string(next_id_++), std::move(fields));
+    return reg_.DefineClass('K' + std::to_string(next_id_++), std::move(fields));
   }
 
   const Klass* PrimArray() {
