@@ -482,33 +482,35 @@ void OpMix(bench::JsonWriter& json) {
   json.End();
 }
 
-// Plans 5: the layout cost model's other bucket. A loop whose body chases a
-// heap pointer (FieldLoad) every iteration must stay row-layout: the
-// vectorizer rejects it, the plan is op-for-op what the scalar compiler
-// emits, and turning `vectorize` on must cost nothing. This is the
-// acceptance bar "row-layout ablation no worse than the scalar plan path".
+// Plans 5: the layout cost model's other bucket. A loop whose body makes a
+// call every iteration (a row op) must stay row-layout: the vectorizer
+// rejects it, the plan is op-for-op what the scalar compiler emits, and
+// turning `vectorize` on must cost nothing. This is the acceptance bar
+// "row-layout ablation no worse than the scalar plan path".
 int RowLayoutAblation(bench::JsonWriter& json) {
-  bench::PrintHeader("Plans 5: row-layout ablation (pointer-chasing loop, vec on vs off)");
+  bench::PrintHeader("Plans 5: row-layout ablation (call per iteration, vec on vs off)");
   Heap heap(HeapConfig{16u << 20, GcKind::kGenerational, 0.55, 0.35, 2});
   WellKnown wk{heap};
-  const Klass* pair = heap.klasses().DefineClass(
-      "Pair", {
-                  {"key", FieldKind::kI64, nullptr, 0},
-                  {"value", FieldKind::kF64, nullptr, 0},
-              });
   ExprPool pool;
   DataStructAnalyzer layouts{pool};
   SerProgram prog;
+  Function* weight = prog.AddFunction("weight");
+  {
+    FunctionBuilder b(weight);
+    int x = b.Param("x", IrType::I64());
+    weight->return_type = IrType::I64();
+    b.Return(b.BinOp(BinOpKind::kAnd, x, b.ConstI(3)));
+    b.Done();
+  }
   Function* row_spin = prog.AddFunction("row_spin");
   {
     FunctionBuilder b(row_spin);
-    int rec = b.Param("rec", IrType::Ref(pair));
     int n = b.Param("n", IrType::I64());
     row_spin->return_type = IrType::I64();
     int acc = b.Local("acc", IrType::I64());
     b.AssignTo(acc, b.ConstI(1));
     b.For(n, [&](int i) {
-      int k = b.FieldLoad(rec, pair, "key");  // the pointer-chasing op
+      int k = b.Call(weight, {i});  // the row op
       int t = b.BinOp(BinOpKind::kMul, i, k);
       b.AssignTo(acc, b.BinOp(BinOpKind::kAdd, acc, t));
     });
@@ -529,11 +531,7 @@ int RowLayoutAblation(bench::JsonWriter& json) {
   std::printf("row_spin: layout=%s vec loops rejected=%lld (%s)\n", vec_plan->layout(),
               static_cast<long long>(vec_plan->vec_loops_rejected()), reject);
 
-  RootScope scope(heap);
-  size_t rec_slot = scope.Push(heap.AllocObject(pair));
-  heap.SetPrim<int64_t>(scope.Get(rec_slot), pair->FindField("key")->offset, 3);
-  const std::vector<Value> args = {Value::Ref(static_cast<int64_t>(scope.Get(rec_slot))),
-                                   Value::I64(64)};
+  const std::vector<Value> args = {Value::I64(64)};
   constexpr int kCalls = 100000;
   constexpr int kRounds = 5;
   int64_t sum = 0;

@@ -49,7 +49,8 @@ struct ExecutionOptions {
   int num_workers = 1;
   // Lower transformed SERs to flat direct-threaded plans (SerPlan) and run
   // the fast path through the PlanExecutor with batched record channels.
-  // Off: the tree-walking Interpreter runs the fast path (the reference
+  // Off — or for a program with a reachable heap-object op, which gets no
+  // plan — the tree-walking Interpreter runs the fast path (the reference
   // implementation — also the abort/slow-path fallback either way). Output
   // bytes are identical in both settings; see tests/plan_test.cc.
   bool use_plan_compiler = true;

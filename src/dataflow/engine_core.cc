@@ -182,7 +182,9 @@ void EngineCore::LowerAndCache(const ProgramSignature& signature, bool cache_hit
   // Folding is idempotent, so folding before every plan is safe.
   pool_.FoldConstants();
   *plan = CompilePlan(*transformed, layouts_, PlanOptionsOf(config_.execution));
-  stats_.plans_compiled += 1;
+  if (*plan != nullptr) {
+    stats_.plans_compiled += 1;
+  }
   if (PlanCache* cache = ActivePlanCache(); cache != nullptr) {
     cache->Insert(signature, {transformed, *plan, fast_fn, acc_fn, 0});
   }

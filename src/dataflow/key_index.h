@@ -1,7 +1,7 @@
-// One flat index from shuffle key to a dense group id, behind every
-// Gerenuk-mode keyed table: the emit-site fold and Spark's reduce-stage fold
-// (KeyedNativeFold), the reduce stage's slow path, the join's build side,
-// and Hadoop's sort buffer.
+// One flat index from shuffle key to a dense group id, behind every keyed
+// table: the emit-site fold and Spark's reduce-stage fold (KeyedNativeFold),
+// the heap reduce and join bodies that baseline mode and Gerenuk mode's slow
+// path share, the join's build side, and Hadoop's sort buffer.
 //
 // Open addressing with linear probing over a power-of-two slot array that
 // holds group id + 1 (0 = empty), at most half full. Groups live in one dense

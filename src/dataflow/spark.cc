@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "src/analysis/ser_analyzer.h"
 #include "src/dataflow/key_index.h"
@@ -125,6 +124,178 @@ class BucketFolds : public EmitFold {
   EngineStats* stats_;
   ShuffleKey key_;  // scratch: the string buffer survives across records
 };
+
+// The heap bodies of the keyed stages, shared by baseline mode's reduce and
+// join tasks and by Gerenuk mode's slow path for the same buckets. They run
+// the original key and reduce/combine functions on the interpreter over heap
+// objects. `for_each(visit)` calls visit(rec) for every input record in
+// arrival order; each output record leaves through emit(ref), in order.
+
+// ReduceByKey: one record per key, in first-seen key order, folding the
+// key's records with the reduce function in arrival order.
+template <typename ForEach, typename Emit>
+void HeapReduceByKey(Heap& heap, const WellKnown& wk, const DataStructAnalyzer& layouts,
+                     PhaseTimes& times, const CompiledFunction& key_c, bool key_is_string,
+                     const CompiledFunction& reduce_c, const ForEach& for_each,
+                     const Emit& emit) {
+  Interpreter reduce_interp(*reduce_c.original, heap, wk, &layouts, nullptr);
+  Interpreter key_interp(*key_c.original, heap, wk, &layouts, nullptr);
+  ComputePhaseScope compute(times);
+  KeyIndex agg;  // group id: the key's slot in `values`
+  std::vector<ObjRef> values;
+  heap.AddRootVector(&values);
+  for_each([&](ObjRef rec) {
+    RootScope scope(heap);
+    const size_t rec_slot = scope.Push(rec);
+    const ShuffleKey k = EvalShuffleKey(key_interp, key_c.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), key_is_string);
+    bool first = false;
+    const uint32_t slot = agg.Insert(k, ShuffleKey::Hash()(k), &first);
+    if (first) {
+      values.push_back(scope.Get(rec_slot));
+    } else {
+      Value merged = reduce_interp.CallFunction(
+          reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[slot])),
+                             Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
+      values[slot] = static_cast<ObjRef>(merged.i);
+    }
+  });
+  for (ObjRef ref : values) {
+    emit(ref);
+  }
+  heap.RemoveRootVector(&values);
+}
+
+// JoinByKey (inner): for every right record, in arrival order, the combine
+// of each left record with its key, in the left side's arrival order.
+template <typename ForEachLeft, typename ForEachRight, typename Emit>
+void HeapJoin(Heap& heap, const WellKnown& wk, const DataStructAnalyzer& layouts,
+              PhaseTimes& times, const CompiledFunction& lkey, bool lkey_is_string,
+              const CompiledFunction& rkey, bool rkey_is_string,
+              const CompiledFunction& combine, const ForEachLeft& for_each_left,
+              const ForEachRight& for_each_right, const Emit& emit) {
+  Interpreter key_interp_l(*lkey.original, heap, wk, &layouts, nullptr);
+  Interpreter key_interp_r(*rkey.original, heap, wk, &layouts, nullptr);
+  Interpreter combine_interp(*combine.original, heap, wk, &layouts, nullptr);
+  ComputePhaseScope compute(times);
+  KeyIndex index;
+  std::vector<std::vector<uint32_t>> rows_of;  // per group: its rows in `lvalues`
+  std::vector<ObjRef> lvalues;
+  heap.AddRootVector(&lvalues);
+  for_each_left([&](ObjRef rec) {
+    lvalues.push_back(rec);
+    const ShuffleKey k = EvalShuffleKey(key_interp_l, lkey.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), lkey_is_string);
+    bool first = false;
+    const uint32_t group = index.Insert(k, ShuffleKey::Hash()(k), &first);
+    if (first) {
+      rows_of.emplace_back();
+    }
+    rows_of[group].push_back(static_cast<uint32_t>(lvalues.size() - 1));
+  });
+  for_each_right([&](ObjRef rec) {
+    RootScope scope(heap);
+    const size_t rec_slot = scope.Push(rec);
+    const ShuffleKey k = EvalShuffleKey(key_interp_r, rkey.orig_fn,
+                                        Value::Ref(static_cast<int64_t>(rec)), rkey_is_string);
+    const uint32_t group = index.Find(k, ShuffleKey::Hash()(k));
+    if (group == KeyIndex::kNotFound) {
+      return;
+    }
+    for (uint32_t row : rows_of[group]) {
+      Value combined = combine_interp.CallFunction(
+          combine.orig_fn, {Value::Ref(static_cast<int64_t>(lvalues[row])),
+                            Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
+      emit(static_cast<ObjRef>(combined.i));
+    }
+  });
+  heap.RemoveRootVector(&lvalues);
+}
+
+// Baseline mode's input to a heap body: partition `p` of every map task's
+// serialized buckets, deserialized into the engine heap.
+template <typename Visit>
+void ForEachBaselineRecord(HeapSerializer& kryo, const Klass* klass,
+                           const std::vector<std::vector<ByteBuffer>>& buckets,
+                           const std::vector<std::vector<int64_t>>& counts, int p,
+                           PhaseTimes& times, const Visit& visit) {
+  for (size_t task = 0; task < buckets.size(); ++task) {
+    ByteReader reader(buckets[task][static_cast<size_t>(p)].bytes());
+    for (int64_t r = 0; r < counts[task][static_cast<size_t>(p)]; ++r) {
+      ObjRef rec;
+      {
+        ScopedPhase phase(times, Phase::kDeserialize);
+        rec = kryo.Deserialize(klass, reader);
+      }
+      visit(rec);
+    }
+  }
+}
+
+// Gerenuk mode's slow path over bucket `p` of a shuffle run: each record
+// read into the worker heap.
+template <typename Visit>
+void ForEachBucketRecord(WorkerContext& ctx, const ShuffleRun& run, int p, const Klass* klass,
+                         const Visit& visit) {
+  run.ForEachRecordInBucket(p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t size) {
+    ObjRef rec;
+    {
+      ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
+      ByteReader reader(reinterpret_cast<const uint8_t*>(addr), size);
+      rec = ctx.serde().ReadBody(klass, reader);
+    }
+    visit(rec);
+  });
+}
+
+// The slow path's output: `ref` rendered as a native record of `out`.
+void AppendHeapRecord(WorkerContext& ctx, ObjRef ref, const Klass* klass, NativePartition& out) {
+  ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
+  ByteBuffer body;
+  ctx.serde().WriteRecord(ref, klass, body);
+  out.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
+}
+
+// One Gerenuk-mode reduce or join task over bucket output `out`: `fast` when
+// the stage speculates; on its abort, or when the governor has turned
+// speculation off, the fast path's output is released and `slow` (a heap
+// body) rebuilds it. Sibling tasks keep running either way.
+template <typename Fast, typename Slow>
+void RunBucketTask(WorkerContext& ctx, bool speculate, NativePartition& out, const Fast& fast,
+                   const Slow& slow) {
+  ctx.stats().tasks_run += 1;
+  ctx.heap().set_phase_times(&ctx.stats().times);
+  TraceSink* sink = ctx.trace_sink();
+  bool fast_ok = speculate;
+  const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
+  if (speculate) try {
+    fast();
+    ctx.stats().fast_path_commits += 1;
+    if (sink != nullptr) {
+      sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
+    }
+  } catch (const SerAbort& abort) {
+    // Instant first, span second: the abort timestamp nests inside the
+    // fast-path span, matching the SerExecutor emission order.
+    if (sink != nullptr) {
+      sink->Instant(TraceEventType::kAbort, "abort", static_cast<int64_t>(abort.reason));
+      sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
+    }
+    fast_ok = false;
+  }
+  if (!fast_ok) {
+    TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path", speculate ? 0 : 1);
+    if (speculate) {
+      ctx.stats().aborts += 1;
+      out.Release();
+    } else {
+      ctx.stats().slow_path_direct += 1;
+    }
+    slow();
+  }
+  out.Seal();
+  ctx.heap().set_phase_times(nullptr);
+}
 
 }  // namespace
 
@@ -357,10 +528,8 @@ void SparkEngine::ShuffleGerenuk(const DatasetPtr& input, const CompiledStage& s
                 combine_fn->fast_fn, combine_fn->acc_fn, stage.out_klass, &memory_));
           }
           io.fold = &folds;
-          if (combine_fn->plan != nullptr) {
-            io.extra_plans.push_back(combine_fn->plan.get());  // the declined-fold reduce
-          }
-        } else if (key_fn.plan != nullptr) {
+          io.extra_plans.push_back(combine_fn->plan.get());  // the declined-fold reduce
+        } else {
           io.extra_plans.push_back(key_fn.plan.get());
         }
         // Per-task scratch key: the string buffer survives across records,
@@ -512,39 +681,14 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
         [&](WorkerContext& ctx, int p) {
           ctx.stats().tasks_run += 1;
           heap_->set_phase_times(&ctx.stats().times);
-          Interpreter reduce_interp(*reduce_c.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter key_interp(*key_c.original, *heap_, *wk_, &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          // Aggregation map: key -> index into the (GC-rooted) value vector.
-          std::unordered_map<ShuffleKeyValue, size_t, ShuffleKeyHash> agg;
-          std::vector<ObjRef> values;
-          heap_->AddRootVector(&values);
-          for (size_t task = 0; task < buckets.size(); ++task) {
-            ByteReader reader(buckets[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < counts[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(rec_klass, reader);
-              }
-              RootScope scope(*heap_);
-              size_t rec_slot = scope.Push(rec);
-              ShuffleKeyValue k = EvalShuffleKey(
-                  key_interp, key_c.orig_fn, Value::Ref(static_cast<int64_t>(rec)), key.is_string);
-              auto it = agg.find(k);
-              if (it == agg.end()) {
-                agg.emplace(std::move(k), values.size());
-                values.push_back(scope.Get(rec_slot));
-              } else {
-                Value merged = reduce_interp.CallFunction(
-                    reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[it->second])),
-                                       Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-                values[it->second] = static_cast<ObjRef>(merged.i);
-              }
-            }
-          }
-          out->heap_parts[static_cast<size_t>(p)] = values;
-          heap_->RemoveRootVector(&values);
+          std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
+          HeapReduceByKey(
+              *heap_, *wk_, layouts_, ctx.stats().times, key_c, key.is_string, reduce_c,
+              [&](const auto& visit) {
+                ForEachBaselineRecord(kryo_, rec_klass, buckets, counts, p, ctx.stats().times,
+                                      visit);
+              },
+              [&](ObjRef ref) { out_part.push_back(ref); });
           heap_->set_phase_times(nullptr);
         },
         &stats_);
@@ -578,13 +722,8 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
   RunWorkerStage(
       config_.execution.num_partitions,
       [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
-        ctx.heap().set_phase_times(&ctx.stats().times);
         NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        TraceSink* sink = ctx.trace_sink();
-        bool fast_ok = speculate;
-        const int64_t fast_start = (speculate && sink != nullptr) ? sink->Now() : 0;
-        if (speculate) try {
+        auto fast = [&] {
           BuilderStore builders(layouts_);
           std::unique_ptr<SerRunner> reduce_runner = MakeFastRunner(
               reduce_c.plan.get(), *reduce_c.transformed, ctx.heap(), ctx.wk(), &layouts_,
@@ -594,7 +733,7 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
           ShuffleKeyValue scratch;
           // Unfolded keys still point into the bucket's fetched blocks, so
           // the bucket stays open until they are emitted.
-          const BucketReader bucket = shuffle.OpenBucket(p, &ctx.stats(), sink);
+          const BucketReader bucket = shuffle.OpenBucket(p, &ctx.stats(), ctx.trace_sink());
           bucket.ForEachRecord([&](int64_t addr, uint32_t size) {
             if (EvalShuffleKeyInto(*reduce_runner, key_c.fast_fn, Value::Addr(addr),
                                    key.is_string, &scratch)) {
@@ -603,70 +742,14 @@ DatasetPtr SparkEngine::ReduceByKey(const DatasetPtr& input, const SerProgram& u
             fold.Add(*reduce_runner, builders, scratch, ShuffleKeyHash()(scratch), addr, size);
           });
           fold.EmitTo(out_part);
-          ctx.stats().fast_path_commits += 1;
-          if (sink != nullptr) {
-            sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-          }
-        } catch (const SerAbort& abort) {
-          // Instant first, span second: the abort timestamp nests inside the
-          // fast-path span, matching the SerExecutor emission order.
-          if (sink != nullptr) {
-            sink->Instant(TraceEventType::kAbort, "abort",
-                          static_cast<int64_t>(abort.reason));
-            sink->Span(TraceEventType::kFastPath, "fast_path", fast_start);
-          }
-          fast_ok = false;
-        }
-        if (!fast_ok) {
-          // Reduce-side abort (or governor-degraded routing): run this
-          // bucket on the slow path inside the same worker — sibling reduce
-          // tasks keep running.
-          TraceSpan slow_span(sink, TraceEventType::kSlowPath, "slow_path",
-                              speculate ? 0 : 1);
-          if (speculate) {
-            ctx.stats().aborts += 1;
-            out_part.Release();
-          } else {
-            ctx.stats().slow_path_direct += 1;
-          }
-          Interpreter reduce_interp(*reduce_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
-          Interpreter key_interp(*key_c.original, ctx.heap(), ctx.wk(), &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          KeyIndex agg;  // group id: the key's slot in `values`
-          std::vector<ObjRef> values;
-          ctx.heap().AddRootVector(&values);
-          shuffle.ForEachRecordInBucket(p, &ctx.stats(), sink, [&](int64_t addr, uint32_t size) {
-            ObjRef rec;
-            {
-              ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-              ByteReader reader(reinterpret_cast<const uint8_t*>(addr), size);
-              rec = ctx.serde().ReadBody(rec_klass, reader);
-            }
-            RootScope scope(ctx.heap());
-            size_t rec_slot = scope.Push(rec);
-            const ShuffleKeyValue k = EvalShuffleKey(
-                key_interp, key_c.orig_fn, Value::Ref(static_cast<int64_t>(rec)), key.is_string);
-            bool first = false;
-            const uint32_t slot = agg.Insert(k, ShuffleKeyHash()(k), &first);
-            if (first) {
-              values.push_back(scope.Get(rec_slot));
-            } else {
-              Value merged = reduce_interp.CallFunction(
-                  reduce_c.orig_fn, {Value::Ref(static_cast<int64_t>(values[slot])),
-                                     Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-              values[slot] = static_cast<ObjRef>(merged.i);
-            }
-          });
-          for (ObjRef ref : values) {
-            ScopedPhase phase(ctx.stats().times, Phase::kSerialize);
-            ByteBuffer body;
-            ctx.serde().WriteRecord(ref, rec_klass, body);
-            out_part.AppendRecord(body.data() + 4, static_cast<uint32_t>(body.size() - 4));
-          }
-          ctx.heap().RemoveRootVector(&values);
-        }
-        out_part.Seal();
-        ctx.heap().set_phase_times(nullptr);
+        };
+        auto slow = [&] {
+          HeapReduceByKey(
+              ctx.heap(), ctx.wk(), layouts_, ctx.stats().times, key_c, key.is_string, reduce_c,
+              [&](const auto& visit) { ForEachBucketRecord(ctx, shuffle, p, rec_klass, visit); },
+              [&](ObjRef ref) { AppendHeapRecord(ctx, ref, rec_klass, out_part); });
+        };
+        RunBucketTask(ctx, speculate, out_part, fast, slow);
       },
       &codec);
   if (speculate) {
@@ -706,55 +789,17 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
         [&](WorkerContext& ctx, int p) {
           ctx.stats().tasks_run += 1;
           heap_->set_phase_times(&ctx.stats().times);
-          Interpreter key_interp_l(*lkey.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter key_interp_r(*rkey.original, *heap_, *wk_, &layouts_, nullptr);
-          Interpreter combine_interp(*combine.original, *heap_, *wk_, &layouts_, nullptr);
-          ComputePhaseScope compute(ctx.stats().times);
-          std::unordered_map<ShuffleKeyValue, std::vector<size_t>, ShuffleKeyHash> table;
-          std::vector<ObjRef> lvalues;
-          heap_->AddRootVector(&lvalues);
-          for (size_t task = 0; task < lb.size(); ++task) {
-            ByteReader lreader(lb[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < lc[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(left->klass, lreader);
-              }
-              lvalues.push_back(rec);
-              ShuffleKeyValue k =
-                  EvalShuffleKey(key_interp_l, lkey.orig_fn,
-                                 Value::Ref(static_cast<int64_t>(rec)), left_key.is_string);
-              table[k].push_back(lvalues.size() - 1);
-            }
-          }
           std::vector<ObjRef>& out_part = out->heap_parts[static_cast<size_t>(p)];
-          for (size_t task = 0; task < rb.size(); ++task) {
-            ByteReader rreader(rb[task][static_cast<size_t>(p)].bytes());
-            for (int64_t r = 0; r < rc[task][static_cast<size_t>(p)]; ++r) {
-              ObjRef rec;
-              {
-                ScopedPhase phase(ctx.stats().times, Phase::kDeserialize);
-                rec = kryo_.Deserialize(right->klass, rreader);
-              }
-              RootScope scope(*heap_);
-              size_t rec_slot = scope.Push(rec);
-              ShuffleKeyValue k =
-                  EvalShuffleKey(key_interp_r, rkey.orig_fn,
-                                 Value::Ref(static_cast<int64_t>(rec)), right_key.is_string);
-              auto it = table.find(k);
-              if (it == table.end()) {
-                continue;
-              }
-              for (size_t li : it->second) {
-                Value combined = combine_interp.CallFunction(
-                    combine.orig_fn, {Value::Ref(static_cast<int64_t>(lvalues[li])),
-                                      Value::Ref(static_cast<int64_t>(scope.Get(rec_slot)))});
-                out_part.push_back(static_cast<ObjRef>(combined.i));
-              }
-            }
-          }
-          heap_->RemoveRootVector(&lvalues);
+          HeapJoin(
+              *heap_, *wk_, layouts_, ctx.stats().times, lkey, left_key.is_string, rkey,
+              right_key.is_string, combine,
+              [&](const auto& visit) {
+                ForEachBaselineRecord(kryo_, left->klass, lb, lc, p, ctx.stats().times, visit);
+              },
+              [&](const auto& visit) {
+                ForEachBaselineRecord(kryo_, right->klass, rb, rc, p, ctx.stats().times, visit);
+              },
+              [&](ObjRef ref) { out_part.push_back(ref); });
           heap_->set_phase_times(nullptr);
         },
         &stats_);
@@ -783,65 +828,78 @@ DatasetPtr SparkEngine::JoinByKey(const DatasetPtr& left, const KeySpec& left_ke
   }
 
   ClaimTaskOrdinals(config_.execution.num_partitions);
+  const bool speculate = ShouldSpeculateFor(combine.signature.hash);
+  const int aborts_before = stats_.aborts;
   const StageCodec codec = PartitionVectorCodec(&out->native_parts);
   TraceSpan stage_span(DriverSink(), TraceEventType::kStage, "join");
   RunWorkerStage(
       config_.execution.num_partitions,
       [&](WorkerContext& ctx, int p) {
-        ctx.stats().tasks_run += 1;
         NativePartition& out_part = out->native_parts[static_cast<size_t>(p)];
-        TraceSpan fast_span(ctx.trace_sink(), TraceEventType::kFastPath, "fast_path");
-        BuilderStore builders(layouts_);
-        std::unique_ptr<SerRunner> runner =
-            MakeFastRunner(combine.plan.get(), *combine.transformed, ctx.heap(), ctx.wk(),
-                           &layouts_, &builders, {lkey.plan.get(), rkey.plan.get()});
-        SerRunner& interp = *runner;
-        ComputePhaseScope compute(ctx.stats().times);
-        // The build side by key. Each key's records chain in arrival order:
-        // chain[group] holds the group's first and last row, and rows[r] a
-        // record and the next row of its group (kNotFound after the last).
-        KeyIndex index;
-        std::vector<std::pair<int64_t, uint32_t>> rows;
-        std::vector<std::pair<uint32_t, uint32_t>> chain;
-        ShuffleKeyValue scratch_key;
-        BucketReader build_side = lrun.OpenBucket(p, &ctx.stats(), ctx.trace_sink());
-        build_side.ForEachRecord([&](int64_t addr, uint32_t /*size*/) {
-          if (EvalShuffleKeyInto(interp, lkey.fast_fn, Value::Addr(addr), left_key.is_string,
-                                 &scratch_key)) {
-            ctx.stats().key_allocs_saved += 1;
-          }
-          const uint32_t row = static_cast<uint32_t>(rows.size());
-          rows.emplace_back(addr, KeyIndex::kNotFound);
-          bool first = false;
-          const uint32_t group = index.Insert(scratch_key, ShuffleKeyHash()(scratch_key), &first);
-          if (first) {
-            chain.emplace_back(row, row);
-          } else {
-            rows[chain[group].second].second = row;
-            chain[group].second = row;
-          }
-        });
-        rrun.ForEachRecordInBucket(
-            p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t /*size*/) {
-              if (EvalShuffleKeyInto(interp, rkey.fast_fn, Value::Addr(addr),
-                                     right_key.is_string, &scratch_key)) {
-                ctx.stats().key_allocs_saved += 1;
-              }
-              const uint32_t group = index.Find(scratch_key, ShuffleKeyHash()(scratch_key));
-              if (group == KeyIndex::kNotFound) {
-                return;
-              }
-              for (uint32_t r = chain[group].first; r != KeyIndex::kNotFound; r = rows[r].second) {
-                Value combined = interp.CallFunction(
-                    combine.fast_fn, {Value::Addr(rows[r].first), Value::Addr(addr)});
-                builders.Render(combined.i, out_klass, out_part);
-                builders.Clear();
-              }
-            });
-        ctx.stats().fast_path_commits += 1;
-        out_part.Seal();
+        auto fast = [&] {
+          BuilderStore builders(layouts_);
+          std::unique_ptr<SerRunner> runner =
+              MakeFastRunner(combine.plan.get(), *combine.transformed, ctx.heap(), ctx.wk(),
+                             &layouts_, &builders, {lkey.plan.get(), rkey.plan.get()});
+          SerRunner& interp = *runner;
+          ComputePhaseScope compute(ctx.stats().times);
+          // The build side by key. Each key's records chain in arrival order:
+          // chain[group] holds the group's first and last row, and rows[r] a
+          // record and the next row of its group (kNotFound after the last).
+          KeyIndex index;
+          std::vector<std::pair<int64_t, uint32_t>> rows;
+          std::vector<std::pair<uint32_t, uint32_t>> chain;
+          ShuffleKeyValue scratch_key;
+          BucketReader build_side = lrun.OpenBucket(p, &ctx.stats(), ctx.trace_sink());
+          build_side.ForEachRecord([&](int64_t addr, uint32_t /*size*/) {
+            if (EvalShuffleKeyInto(interp, lkey.fast_fn, Value::Addr(addr), left_key.is_string,
+                                   &scratch_key)) {
+              ctx.stats().key_allocs_saved += 1;
+            }
+            const uint32_t row = static_cast<uint32_t>(rows.size());
+            rows.emplace_back(addr, KeyIndex::kNotFound);
+            bool first = false;
+            const uint32_t group = index.Insert(scratch_key, ShuffleKeyHash()(scratch_key), &first);
+            if (first) {
+              chain.emplace_back(row, row);
+            } else {
+              rows[chain[group].second].second = row;
+              chain[group].second = row;
+            }
+          });
+          rrun.ForEachRecordInBucket(
+              p, &ctx.stats(), ctx.trace_sink(), [&](int64_t addr, uint32_t /*size*/) {
+                if (EvalShuffleKeyInto(interp, rkey.fast_fn, Value::Addr(addr),
+                                       right_key.is_string, &scratch_key)) {
+                  ctx.stats().key_allocs_saved += 1;
+                }
+                const uint32_t group = index.Find(scratch_key, ShuffleKeyHash()(scratch_key));
+                if (group == KeyIndex::kNotFound) {
+                  return;
+                }
+                for (uint32_t r = chain[group].first; r != KeyIndex::kNotFound; r = rows[r].second) {
+                  Value combined = interp.CallFunction(
+                      combine.fast_fn, {Value::Addr(rows[r].first), Value::Addr(addr)});
+                  builders.Render(combined.i, out_klass, out_part);
+                  builders.Clear();
+                }
+              });
+        };
+        auto slow = [&] {
+          HeapJoin(
+              ctx.heap(), ctx.wk(), layouts_, ctx.stats().times, lkey, left_key.is_string, rkey,
+              right_key.is_string, combine,
+              [&](const auto& visit) { ForEachBucketRecord(ctx, lrun, p, left->klass, visit); },
+              [&](const auto& visit) { ForEachBucketRecord(ctx, rrun, p, right->klass, visit); },
+              [&](ObjRef ref) { AppendHeapRecord(ctx, ref, out_klass, out_part); });
+        };
+        RunBucketTask(ctx, speculate, out_part, fast, slow);
       },
       &codec);
+  if (speculate) {
+    ObserveSpeculation(combine.signature.hash, config_.execution.num_partitions,
+                       stats_.aborts - aborts_before);
+  }
   return out;
 }
 

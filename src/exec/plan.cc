@@ -152,66 +152,6 @@ GERENUK_FORCE_INLINE Value EvalBin(BinOpKind kind, const Value& a, const Value& 
   return Value::None();
 }
 
-inline Value LoadHeapField(Heap& heap, ObjRef obj, int64_t off, FieldKind kind) {
-  switch (kind) {
-    case FieldKind::kBool:
-    case FieldKind::kI8: return Value::I64(heap.GetPrim<int8_t>(obj, off));
-    case FieldKind::kI16:
-    case FieldKind::kChar: return Value::I64(heap.GetPrim<int16_t>(obj, off));
-    case FieldKind::kI32: return Value::I64(heap.GetPrim<int32_t>(obj, off));
-    case FieldKind::kI64: return Value::I64(heap.GetPrim<int64_t>(obj, off));
-    case FieldKind::kF32: return Value::F64(heap.GetPrim<float>(obj, off));
-    case FieldKind::kF64: return Value::F64(heap.GetPrim<double>(obj, off));
-    case FieldKind::kRef: return Value::Ref(static_cast<int64_t>(heap.GetRef(obj, off)));
-  }
-  return Value::None();
-}
-
-inline void StoreHeapField(Heap& heap, ObjRef obj, int64_t off, FieldKind kind,
-                           const Value& v) {
-  switch (kind) {
-    case FieldKind::kBool:
-    case FieldKind::kI8: heap.SetPrim<int8_t>(obj, off, static_cast<int8_t>(v.i)); break;
-    case FieldKind::kI16:
-    case FieldKind::kChar: heap.SetPrim<int16_t>(obj, off, static_cast<int16_t>(v.i)); break;
-    case FieldKind::kI32: heap.SetPrim<int32_t>(obj, off, static_cast<int32_t>(v.i)); break;
-    case FieldKind::kI64: heap.SetPrim<int64_t>(obj, off, v.i); break;
-    case FieldKind::kF32: heap.SetPrim<float>(obj, off, static_cast<float>(AsF(v))); break;
-    case FieldKind::kF64: heap.SetPrim<double>(obj, off, AsF(v)); break;
-    case FieldKind::kRef: heap.SetRef(obj, off, static_cast<ObjRef>(v.i)); break;
-  }
-}
-
-inline Value LoadHeapArray(Heap& heap, ObjRef arr, int64_t idx, FieldKind kind) {
-  switch (kind) {
-    case FieldKind::kBool:
-    case FieldKind::kI8: return Value::I64(heap.AGet<int8_t>(arr, idx));
-    case FieldKind::kI16:
-    case FieldKind::kChar: return Value::I64(heap.AGet<int16_t>(arr, idx));
-    case FieldKind::kI32: return Value::I64(heap.AGet<int32_t>(arr, idx));
-    case FieldKind::kI64: return Value::I64(heap.AGet<int64_t>(arr, idx));
-    case FieldKind::kF32: return Value::F64(heap.AGet<float>(arr, idx));
-    case FieldKind::kF64: return Value::F64(heap.AGet<double>(arr, idx));
-    case FieldKind::kRef: return Value::Ref(static_cast<int64_t>(heap.AGetRef(arr, idx)));
-  }
-  return Value::None();
-}
-
-inline void StoreHeapArray(Heap& heap, ObjRef arr, int64_t idx, FieldKind kind,
-                           const Value& v) {
-  switch (kind) {
-    case FieldKind::kBool:
-    case FieldKind::kI8: heap.ASet<int8_t>(arr, idx, static_cast<int8_t>(v.i)); break;
-    case FieldKind::kI16:
-    case FieldKind::kChar: heap.ASet<int16_t>(arr, idx, static_cast<int16_t>(v.i)); break;
-    case FieldKind::kI32: heap.ASet<int32_t>(arr, idx, static_cast<int32_t>(v.i)); break;
-    case FieldKind::kI64: heap.ASet<int64_t>(arr, idx, v.i); break;
-    case FieldKind::kF32: heap.ASet<float>(arr, idx, static_cast<float>(AsF(v))); break;
-    case FieldKind::kF64: heap.ASet<double>(arr, idx, AsF(v)); break;
-    case FieldKind::kRef: heap.ASetRef(arr, idx, static_cast<ObjRef>(v.i)); break;
-  }
-}
-
 }  // namespace
 
 PlanExecutor::PlanExecutor(const SerPlan& plan, Heap& heap, const WellKnown& wk,
@@ -1103,11 +1043,9 @@ Value PlanExecutor::Execute(Frame& frame) {
 #ifdef GERENUK_COMPUTED_GOTO
   // One entry per PlanOpCode, in declaration order.
   static const void* kDispatch[] = {
-      &&lbl_kConst, &&lbl_kAssign, &&lbl_kBinOp, &&lbl_kUnOp, &&lbl_kDeserialize,
-      &&lbl_kSerialize, &&lbl_kFieldLoad, &&lbl_kFieldStore, &&lbl_kArrayLoad,
-      &&lbl_kArrayStore, &&lbl_kArrayLength, &&lbl_kNewObject, &&lbl_kNewArray,
-      &&lbl_kCall, &&lbl_kIntrinsic, &&lbl_kBranch, &&lbl_kJump, &&lbl_kReturn,
-      &&lbl_kReturnVoid, &&lbl_kGetAddress, &&lbl_kGWriteObject,
+      &&lbl_kConst, &&lbl_kAssign, &&lbl_kBinOp, &&lbl_kUnOp, &&lbl_kCall, &&lbl_kIntrinsic,
+      &&lbl_kBranch, &&lbl_kJump, &&lbl_kReturn, &&lbl_kReturnVoid, &&lbl_kGetAddress,
+      &&lbl_kGWriteObject,
       &&lbl_kReadNativeConst, &&lbl_kReadNativeSym, &&lbl_kWriteNative,
       &&lbl_kAddrOfFieldConst, &&lbl_kAddrOfFieldSym, &&lbl_kNativeArrayLength,
       &&lbl_kNativeArrayLoad, &&lbl_kNativeArrayStore, &&lbl_kNativeArrayElemAddr,
@@ -1196,49 +1134,6 @@ Value PlanExecutor::Execute(Frame& frame) {
         slots[op->dst] = Value::I64(static_cast<int64_t>(AsF(slots[op->a])));
         break;
     }
-    NEXT();
-  }
-  OP(kDeserialize) {
-    GERENUK_CHECK(channel_ != nullptr && channel_->next_heap_record);
-    slots[op->dst] = Value::Ref(static_cast<int64_t>(channel_->next_heap_record()));
-    NEXT();
-  }
-  OP(kSerialize) {
-    GERENUK_CHECK(channel_ != nullptr && channel_->emit_heap_record);
-    channel_->emit_heap_record(static_cast<ObjRef>(slots[op->a].i), op->klass);
-    NEXT();
-  }
-  OP(kFieldLoad) {
-    slots[op->dst] =
-        LoadHeapField(heap_, static_cast<ObjRef>(slots[op->a].i), op->imm, op->kind);
-    NEXT();
-  }
-  OP(kFieldStore) {
-    StoreHeapField(heap_, static_cast<ObjRef>(slots[op->a].i), op->imm, op->kind,
-                   slots[op->b]);
-    NEXT();
-  }
-  OP(kArrayLoad) {
-    slots[op->dst] =
-        LoadHeapArray(heap_, static_cast<ObjRef>(slots[op->a].i), slots[op->b].i, op->kind);
-    NEXT();
-  }
-  OP(kArrayStore) {
-    StoreHeapArray(heap_, static_cast<ObjRef>(slots[op->a].i), slots[op->b].i, op->kind,
-                   slots[op->c]);
-    NEXT();
-  }
-  OP(kArrayLength) {
-    slots[op->dst] = Value::I64(heap_.ArrayLength(static_cast<ObjRef>(slots[op->a].i)));
-    NEXT();
-  }
-  OP(kNewObject) {
-    slots[op->dst] = Value::Ref(static_cast<int64_t>(heap_.AllocObject(op->klass)));
-    NEXT();
-  }
-  OP(kNewArray) {
-    slots[op->dst] =
-        Value::Ref(static_cast<int64_t>(heap_.AllocArray(op->klass, slots[op->a].i)));
     NEXT();
   }
   OP(kCall) {
@@ -1735,14 +1630,12 @@ std::unique_ptr<SerRunner> MakeFastRunner(const SerPlan* plan, const SerProgram&
                                           const DataStructAnalyzer* layouts,
                                           BuilderStore* builders,
                                           const std::vector<const SerPlan*>& extra_plans) {
-  if (plan == nullptr) {
+  if (plan == nullptr || std::ranges::count(extra_plans, nullptr) > 0) {
     return std::make_unique<Interpreter>(program, heap, wk, layouts, builders);
   }
   auto exec = std::make_unique<PlanExecutor>(*plan, heap, wk, layouts, builders);
   for (const SerPlan* extra : extra_plans) {
-    if (extra != nullptr) {
-      exec->AddPlan(*extra);
-    }
+    exec->AddPlan(*extra);
   }
   return exec;
 }

@@ -12,6 +12,11 @@
 //     ones flattened into an iterative per-plan FlatStep run),
 //   * fused superinstructions for the dominant shapes (compare+branch,
 //     not+branch filters, const-read+binop, binop runs, branch+else).
+// The ISA is native-only: it has no heap-object op. The statement the
+// transformer keeps behind each Case-7 abort is unreachable and is not
+// lowered; a program with any other heap-object op (say, a control-path
+// object of an unregistered klass) gets no plan, and MakeFastRunner runs it
+// on the Interpreter instead.
 // The PlanExecutor runs plans with computed-goto dispatch (GCC/Clang; a
 // plain switch elsewhere) and batches the record channel: input addresses
 // are prefetched in runs and emits are buffered, amortizing the per-record
@@ -40,15 +45,6 @@ enum class PlanOpCode : uint8_t {
   kAssign,
   kBinOp,
   kUnOp,
-  kDeserialize,
-  kSerialize,
-  kFieldLoad,
-  kFieldStore,
-  kArrayLoad,
-  kArrayStore,
-  kArrayLength,
-  kNewObject,
-  kNewArray,
   kCall,
   kIntrinsic,
   kBranch,
@@ -292,7 +288,8 @@ struct PlanOptions {
 };
 
 // Lowers every function of `program` (a *transformed* SerProgram; labels
-// must be resolved). `layouts` supplies the ExprPool for offset folding and
+// must be resolved). Returns null when a reachable statement is a
+// heap-object op: such a program runs on the Interpreter. `layouts` supplies the ExprPool for offset folding and
 // flattening — run ExprPool::FoldConstants() first for best results.
 std::shared_ptr<const SerPlan> CompilePlan(const SerProgram& program,
                                            const DataStructAnalyzer& layouts,
@@ -455,8 +452,10 @@ class PlanExecutor : public RootProvider, public SerRunner {
   std::vector<EmittedRecord> emit_buf_;
 };
 
-// Fast-path runner factory: a PlanExecutor over `plan` (plus `extra_plans`)
-// when non-null, else the reference Interpreter over `program`.
+// Fast-path runner factory: a PlanExecutor over `plan` plus `extra_plans`
+// (the functions the body calls by name) when every one of them is non-null,
+// else the reference Interpreter over `program`. A plan is null when the
+// plan compiler is off or CompilePlan found a reachable heap-object op.
 std::unique_ptr<SerRunner> MakeFastRunner(const SerPlan* plan, const SerProgram& program,
                                           Heap& heap, const WellKnown& wk,
                                           const DataStructAnalyzer* layouts,

@@ -92,7 +92,8 @@ class PlanBuilder {
         options_(options),
         flattener_(pool_) {}
 
-  void Build() {
+  // False when some reachable statement is a heap-object op.
+  bool Build() {
     plan_->vector_batch_size_ = options_.vectorize ? options_.vector_batch_size : 0;
     plan_->vec_bail_after_strips_ = options_.vec_bail_after_strips;
     plan_->funcs_.resize(program_.functions.size());
@@ -113,6 +114,7 @@ class PlanBuilder {
         plan_->ops_total_ += 1;
       }
     }
+    return !heap_op_;
   }
 
  private:
@@ -157,6 +159,35 @@ class PlanBuilder {
     return false;
   }
 
+  // Block leaders: the ops a branch or jump lands on (target) or a vec block
+  // bails to (target2). A leader must stay addressable, so no rewrite may
+  // fold it into the op before it.
+  static std::vector<char> Leaders(const std::vector<PlanOp>& ops) {
+    std::vector<char> leader(ops.size(), 0);
+    for (const PlanOp& op : ops) {
+      for (int32_t t : {op.target, op.target2}) {
+        if (t >= 0) {
+          leader[static_cast<size_t>(t)] = 1;
+        }
+      }
+    }
+    return leader;
+  }
+
+  // After a rewrite that moved old op j to `rewritten` index remap[j], points
+  // every target of `rewritten` at the new index. remap has one slot past the
+  // old end, which maps to one past the new end.
+  static void Retarget(std::vector<int32_t>& remap, std::vector<PlanOp>* rewritten) {
+    remap.back() = static_cast<int32_t>(rewritten->size());
+    for (PlanOp& op : *rewritten) {
+      for (int32_t* t : {&op.target, &op.target2}) {
+        if (*t >= 0) {
+          *t = remap[static_cast<size_t>(*t)];
+        }
+      }
+    }
+  }
+
   void LowerFunction(const Function& func, PlanFunction* out) {
     out->src = &func;
     out->num_params = func.num_params;
@@ -171,6 +202,11 @@ class PlanBuilder {
     std::vector<int32_t> op_of_stmt(func.body.size() + 1, 0);
     for (size_t i = 0; i < func.body.size(); ++i) {
       op_of_stmt[i] = static_cast<int32_t>(ops.size());
+      // A statement right behind an abort never runs (branches land only on
+      // labels): the transformer keeps each fenced Case-7 statement there.
+      if (i > 0 && func.body[i - 1].op == Op::kAbort && func.body[i].op != Op::kLabel) {
+        continue;
+      }
       LowerStatement(func.body[i], out, &ops);
     }
     op_of_stmt[func.body.size()] = static_cast<int32_t>(ops.size());
@@ -194,12 +230,7 @@ class PlanBuilder {
     // disappears. Handlers read all operands before writing dst, so the
     // rewrite is safe even when `var` is one of the producer's operands.
     {
-      std::vector<char> leader(ops.size(), 0);
-      for (const PlanOp& op : ops) {
-        if (op.target >= 0) {
-          leader[static_cast<size_t>(op.target)] = 1;
-        }
-      }
+      const std::vector<char> leader = Leaders(ops);
       // Reads per variable: a/b/c are operand reads whenever set, plus the
       // call/intrinsic argument pool. dst (and the not-yet-created dst2)
       // are writes.
@@ -239,15 +270,7 @@ class PlanBuilder {
         pruned.push_back(ops[j]);
         j += 1;
       }
-      remap[ops.size()] = static_cast<int32_t>(pruned.size());
-      for (PlanOp& op : pruned) {
-        if (op.target >= 0) {
-          op.target = remap[static_cast<size_t>(op.target)];
-        }
-        if (op.target2 >= 0) {
-          op.target2 = remap[static_cast<size_t>(op.target2)];
-        }
-      }
+      Retarget(remap, &pruned);
       ops = std::move(pruned);
     }
 
@@ -280,15 +303,7 @@ class PlanBuilder {
         }
       }
       // A branch that landed on a dropped const lands on the next op.
-      remap[ops.size()] = static_cast<int32_t>(kept.size());
-      for (PlanOp& op : kept) {
-        if (op.target >= 0) {
-          op.target = remap[static_cast<size_t>(op.target)];
-        }
-        if (op.target2 >= 0) {
-          op.target2 = remap[static_cast<size_t>(op.target2)];
-        }
-      }
+      Retarget(remap, &kept);
       ops = std::move(kept);
     }
 
@@ -357,15 +372,7 @@ class PlanBuilder {
         }
         threaded.push_back(op);
       }
-      remap[ops.size()] = static_cast<int32_t>(threaded.size());
-      for (PlanOp& op : threaded) {
-        if (op.target >= 0) {
-          op.target = remap[static_cast<size_t>(op.target)];
-        }
-        if (op.target2 >= 0) {
-          op.target2 = remap[static_cast<size_t>(op.target2)];
-        }
-      }
+      Retarget(remap, &threaded);
       ops = std::move(threaded);
     }
 
@@ -377,17 +384,7 @@ class PlanBuilder {
     // its destination in order, so the run is indistinguishable from the
     // unfused ops to any reader or to a branch that follows it.
     {
-      std::vector<char> leader(ops.size(), 0);
-      for (const PlanOp& op : ops) {
-        if (op.target >= 0) {
-          leader[static_cast<size_t>(op.target)] = 1;
-        }
-        // Vec blocks carry bail targets in target2 (the scalar loop head);
-        // that head must stay addressable, so it leads a block here too.
-        if (op.target2 >= 0) {
-          leader[static_cast<size_t>(op.target2)] = 1;
-        }
-      }
+      const std::vector<char> leader = Leaders(ops);
       auto run_member = [](const PlanOp& op) {
         if (op.code == PlanOpCode::kBinOp) {
           return true;
@@ -440,15 +437,7 @@ class PlanBuilder {
           j += 1;
         }
       }
-      remap[ops.size()] = static_cast<int32_t>(packed.size());
-      for (PlanOp& op : packed) {
-        if (op.target >= 0) {
-          op.target = remap[static_cast<size_t>(op.target)];
-        }
-        if (op.target2 >= 0) {
-          op.target2 = remap[static_cast<size_t>(op.target2)];
-        }
-      }
+      Retarget(remap, &packed);
       ops = std::move(packed);
     }
 
@@ -463,15 +452,7 @@ class PlanBuilder {
     bool changed = true;
     while (changed) {
       changed = false;
-      std::vector<char> leader(ops.size(), 0);
-      for (const PlanOp& op : ops) {
-        if (op.target >= 0) {
-          leader[static_cast<size_t>(op.target)] = 1;
-        }
-        if (op.target2 >= 0) {
-          leader[static_cast<size_t>(op.target2)] = 1;
-        }
-      }
+      const std::vector<char> leader = Leaders(ops);
       std::vector<PlanOp> fused;
       fused.reserve(ops.size());
       std::vector<int32_t> remap(ops.size() + 1, 0);
@@ -490,15 +471,7 @@ class PlanBuilder {
           i += 1;
         }
       }
-      remap[ops.size()] = static_cast<int32_t>(fused.size());
-      for (PlanOp& op : fused) {
-        if (op.target >= 0) {
-          op.target = remap[static_cast<size_t>(op.target)];
-        }
-        if (op.target2 >= 0) {
-          op.target2 = remap[static_cast<size_t>(op.target2)];
-        }
-      }
+      Retarget(remap, &fused);
       ops = std::move(fused);
     }
     out->ops = std::move(ops);
@@ -535,7 +508,7 @@ class PlanBuilder {
   // with pristine strip-start state and replays the strip lane by lane:
   // aborts and faults fire at exactly the iteration, in exactly the
   // lane-major order, the interpreter would produce. Loops whose bodies
-  // contain pointer-chasing ops (heap fields, record reads with symbolic
+  // contain pointer-chasing or effectful ops (record reads with symbolic
   // offsets, calls, allocation, emit) are rejected and stay row-layout;
   // the rejection reasons feed the op_mix bench output.
   void VectorizeLoops(std::vector<PlanOp>* ops_ptr, PlanFunction* out) {
@@ -877,8 +850,8 @@ class PlanBuilder {
           break;
         }
         default:
-          // Pointer-chasing / effectful op: heap fields, symbolic-offset
-          // record reads, calls, allocation, emits, aborts. The cost model
+          // Pointer-chasing / effectful op: symbolic-offset record reads,
+          // calls, allocation, emits, aborts. The cost model
           // keeps this loop row-layout.
           return fail(std::string("row-op:") + PlanOpName(s.code));
       }
@@ -1106,38 +1079,18 @@ class PlanBuilder {
         op.code = PlanOpCode::kUnOp;
         break;
       case Op::kDeserialize:
-        op.code = PlanOpCode::kDeserialize;
-        break;
       case Op::kSerialize:
-        op.code = PlanOpCode::kSerialize;
-        break;
       case Op::kFieldLoad:
-      case Op::kFieldStore: {
-        // Pre-bind the heap field's offset and kind: no klass->field() walk
-        // per execution.
-        const FieldInfo& field = s.klass->field(s.field_index);
-        op.code = s.op == Op::kFieldLoad ? PlanOpCode::kFieldLoad : PlanOpCode::kFieldStore;
-        op.imm = field.offset;
-        op.kind = field.kind;
-        break;
-      }
+      case Op::kFieldStore:
       case Op::kArrayLoad:
-        op.code = PlanOpCode::kArrayLoad;
-        op.kind = s.elem_kind;
-        break;
       case Op::kArrayStore:
-        op.code = PlanOpCode::kArrayStore;
-        op.kind = s.elem_kind;
-        break;
       case Op::kArrayLength:
-        op.code = PlanOpCode::kArrayLength;
-        break;
       case Op::kNewObject:
-        op.code = PlanOpCode::kNewObject;
-        break;
       case Op::kNewArray:
-        op.code = PlanOpCode::kNewArray;
-        break;
+        // Heap-object ops run on the interpreter only: one that can execute
+        // leaves the whole program without a plan.
+        heap_op_ = true;
+        return;
       case Op::kCall:
         op.code = PlanOpCode::kCall;
         op.callee = s.func;
@@ -1245,6 +1198,7 @@ class PlanBuilder {
   PlanOptions options_;
   Flattener flattener_;
   std::unordered_map<int, std::pair<int32_t, int32_t>> flat_cache_;
+  bool heap_op_ = false;
 };
 
 std::shared_ptr<const SerPlan> CompilePlan(const SerProgram& program,
@@ -1252,8 +1206,7 @@ std::shared_ptr<const SerPlan> CompilePlan(const SerProgram& program,
                                            const PlanOptions& options) {
   auto plan = std::make_shared<SerPlan>();
   PlanBuilder builder(program, layouts, plan.get(), options);
-  builder.Build();
-  return plan;
+  return builder.Build() ? plan : nullptr;
 }
 
 const char* PlanOpName(PlanOpCode code) {
@@ -1262,15 +1215,6 @@ const char* PlanOpName(PlanOpCode code) {
     case PlanOpCode::kAssign: return "assign";
     case PlanOpCode::kBinOp: return "binop";
     case PlanOpCode::kUnOp: return "unop";
-    case PlanOpCode::kDeserialize: return "deserialize";
-    case PlanOpCode::kSerialize: return "serialize";
-    case PlanOpCode::kFieldLoad: return "fieldload";
-    case PlanOpCode::kFieldStore: return "fieldstore";
-    case PlanOpCode::kArrayLoad: return "arrayload";
-    case PlanOpCode::kArrayStore: return "arraystore";
-    case PlanOpCode::kArrayLength: return "arraylength";
-    case PlanOpCode::kNewObject: return "newobject";
-    case PlanOpCode::kNewArray: return "newarray";
     case PlanOpCode::kCall: return "call";
     case PlanOpCode::kIntrinsic: return "intrinsic";
     case PlanOpCode::kBranch: return "branch";

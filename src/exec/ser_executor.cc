@@ -10,8 +10,7 @@ bool SerExecutor::RunFastPathIo(TaskIo& io, PhaseTimes& times, SpecOutcome* outc
   BuilderStore builders(layouts_);
   std::unique_ptr<SerRunner> runner =
       MakeFastRunner(io.plan, transformed_, heap_, wk_, &layouts_, &builders, io.extra_plans);
-  PlanExecutor* plan_exec =
-      io.plan != nullptr ? static_cast<PlanExecutor*>(runner.get()) : nullptr;
+  PlanExecutor* plan_exec = dynamic_cast<PlanExecutor*>(runner.get());
   if (plan_exec != nullptr && io.plan_profile != nullptr && io.plan_profile_stride > 0) {
     plan_exec->EnableProfiling(io.plan_profile, io.plan_profile_stride);
   }

@@ -497,9 +497,7 @@ DatasetPtr HadoopEngine::RunJob(const DatasetPtr& input, const SerProgram& udfs,
           BindTaskIo(&io, ctx, "map", &input->native_parts[static_cast<size_t>(task)], task,
                      map_base + task);
           io.plan = map_stage.plan.get();
-          if (key_c.plan != nullptr) {
-            io.extra_plans.push_back(key_c.plan.get());
-          }
+          io.extra_plans.push_back(key_c.plan.get());
           // Scratch key: extraction reuses the string buffer, and the sort
           // buffer copies a key only the first time a spill sees it.
           auto scratch_key = std::make_shared<ShuffleKey>();

@@ -342,5 +342,197 @@ TEST(ExprFoldTest, FoldIsIdempotentAndConservativeForNewExprs) {
   EXPECT_EQ(pool.Eval(b, read), 8 + 4 * 99);
 }
 
+// ---------------------------------------------------------------------------
+// The native-only ISA: heap-object ops never reach a plan.
+// ---------------------------------------------------------------------------
+
+// A plan's ops as comparable rows: opcode, operands and targets.
+std::vector<std::vector<int64_t>> PlanRows(const SerPlan& plan) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const PlanFunction& pf : plan.funcs()) {
+    for (const PlanOp& op : pf.ops) {
+      rows.push_back({static_cast<int64_t>(op.code), op.dst, op.a, op.b, op.c, op.d, op.dst2,
+                      op.target, op.target2, op.args_len, op.imm});
+    }
+  }
+  return rows;
+}
+
+// Adds a klass the engine never registers as a data type: an object of it is
+// a control-path object, and the transformer leaves its heap ops in place.
+const Klass* DefineHelper(SparkEngine& engine) {
+  return engine.heap().klasses().DefineClass("Helper", {
+                                                           {"k", FieldKind::kI64, nullptr, 0},
+                                                           {"v", FieldKind::kF64, nullptr, 0},
+                                                       });
+}
+
+// key(rec) through a Helper: h.k = rec.key; return h.k.
+const Function* AddHelperKey(PairUdfs* job, const Klass* helper) {
+  Function* f = job->udfs.AddFunction("helper_key");
+  FunctionBuilder b(f);
+  int rec = b.Param("rec", IrType::Ref(job->pair));
+  f->return_type = IrType::I64();
+  int h = b.NewObject(helper);
+  b.FieldStore(h, helper, "k", b.FieldLoad(rec, job->pair, "key"));
+  b.Return(b.FieldLoad(h, helper, "k"));
+  b.Done();
+  return f;
+}
+
+// (a.key, a.value + b.value), the sum passing through a Helper's v field: a
+// reduce, or with `binary` false a map of one record (b = a: value *= 2).
+const Function* AddHelperPair(PairUdfs* job, const Klass* helper, const char* name,
+                              bool binary) {
+  const Klass* pair = job->pair;
+  Function* f = job->udfs.AddFunction(name);
+  FunctionBuilder b(f);
+  int a = b.Param("a", IrType::Ref(pair));
+  int c = binary ? b.Param("b", IrType::Ref(pair)) : a;
+  f->return_type = IrType::Ref(pair);
+  int h = b.NewObject(helper);
+  b.FieldStore(h, helper, "v",
+               b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, pair, "value"),
+                       b.FieldLoad(c, pair, "value")));
+  int out = b.NewObject(pair);
+  b.FieldStore(out, pair, "key", b.FieldLoad(a, pair, "key"));
+  b.FieldStore(out, pair, "value", b.FieldLoad(h, helper, "v"));
+  b.Return(out);
+  b.Done();
+  return f;
+}
+
+// The heap op the transformer keeps behind a Case-7 abort is never lowered:
+// the plan is op for op the plan of the same program with that statement
+// erased, and the program still gets a plan.
+TEST(PlanIsaTest, AbortFencedHeapOpIsNotLowered) {
+  SparkJob job(SparkWith(1));
+  const Function* poisoned = BuildPoisonedSum(&job);
+  TransformStats stats;
+  CompiledFunction c = CompileSingleFunction(EngineMode::kGerenuk, job.engine.layouts(),
+                                             job.udfs, poisoned, &stats);
+  ASSERT_NE(c.transformed, nullptr);
+  SerProgram erased;
+  int fenced = 0;
+  for (const std::unique_ptr<Function>& fn : c.transformed->functions) {
+    Function* copy = erased.AddFunction(fn->name);
+    copy->num_params = fn->num_params;
+    copy->return_type = fn->return_type;
+    copy->vars = fn->vars;
+    for (size_t i = 0; i < fn->body.size(); ++i) {
+      if (i > 0 && fn->body[i - 1].op == Op::kAbort) {
+        fenced += 1;
+        continue;
+      }
+      copy->body.push_back(fn->body[i]);
+    }
+    copy->ResolveLabels();
+  }
+  ASSERT_EQ(fenced, 1);
+  const std::shared_ptr<const SerPlan> plan = CompilePlan(*c.transformed, job.engine.layouts());
+  const std::shared_ptr<const SerPlan> reference = CompilePlan(erased, job.engine.layouts());
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(plan->op_counts()[static_cast<size_t>(PlanOpCode::kAbort)], 1);
+  EXPECT_EQ(PlanRows(*plan), PlanRows(*reference));
+}
+
+// A heap op that can run (here on a control-path Helper) leaves the whole
+// program without a plan; the transformed program itself still exists.
+TEST(PlanIsaTest, ReachableHeapOpGivesNoPlan) {
+  SparkJob job(SparkWith(1));
+  const Klass* helper = DefineHelper(job.engine);
+  for (const Function* fn : {AddHelperKey(&job, helper),
+                             AddHelperPair(&job, helper, "helper_sum", /*binary=*/true)}) {
+    TransformStats stats;
+    CompiledFunction c =
+        CompileSingleFunction(EngineMode::kGerenuk, job.engine.layouts(), job.udfs, fn, &stats);
+    ASSERT_NE(c.transformed, nullptr) << fn->name;
+    EXPECT_EQ(CompilePlan(*c.transformed, job.engine.layouts()), nullptr) << fn->name;
+  }
+}
+
+// Output bytes of `job` on a fresh Pair job in `mode`, with the engine stats.
+struct JobRun {
+  std::vector<uint8_t> bytes;
+  EngineStats stats;
+};
+
+template <typename Job>
+JobRun RunPairJob(const EngineConfig& config, const Job& job_fn) {
+  SparkJob job(config);
+  const Klass* helper = DefineHelper(job.engine);
+  DatasetPtr in = job.MakeInput(1000);
+  job.engine.ResetMetrics();
+  DatasetPtr out = job_fn(job, helper, in);
+  return JobRun{OutputBytes(job.engine, out), job.engine.stats()};
+}
+
+// Runs `job_fn` in baseline mode, then on every runner at 1, 2 and 8
+// workers: every Gerenuk run must return the baseline's bytes with no
+// abort. Returns plans_compiled per runner (the same at every worker count).
+template <typename Job>
+std::vector<int> ExpectBaselineBytesOnEveryRunner(const Job& job_fn) {
+  EngineConfig baseline = SparkWith(1);
+  baseline.execution.mode = EngineMode::kBaseline;
+  const std::vector<uint8_t> reference = RunPairJob(baseline, job_fn).bytes;
+  EXPECT_FALSE(reference.empty());
+  std::vector<int> plans;
+  for (Runner runner : kRunners) {
+    plans.push_back(-1);
+    for (int workers : kWorkerCounts) {
+      EngineConfig config = SparkWith(workers);
+      ApplyRunner(config.execution, runner);
+      JobRun r = RunPairJob(config, job_fn);
+      EXPECT_EQ(r.bytes, reference) << "runner=" << RunnerName(runner) << " workers=" << workers;
+      EXPECT_EQ(r.stats.aborts, 0) << "runner=" << RunnerName(runner) << " workers=" << workers;
+      if (plans.back() >= 0) {
+        EXPECT_EQ(r.stats.plans_compiled, plans.back()) << "runner=" << RunnerName(runner);
+      }
+      plans.back() = r.stats.plans_compiled;
+    }
+  }
+  return plans;
+}
+
+// A map stage whose UDF allocates a control-path Helper has no plan: its
+// fast path runs on the interpreter under every runner setting.
+TEST(NoPlanFallbackTest, ControlPathHelperMapStageMatchesBaseline) {
+  const std::vector<int> plans = ExpectBaselineBytesOnEveryRunner(
+      [](SparkJob& job, const Klass* helper, const DatasetPtr& in) {
+        const Function* map = AddHelperPair(&job, helper, "helper_double", /*binary=*/false);
+        return job.engine.RunStage(in, job.udfs, {NarrowOp::Map(map, job.pair)});
+      });
+  EXPECT_EQ(plans, std::vector<int>({0, 0, 0}));
+}
+
+// A ReduceByKey whose key or reduce function has no plan: the runners that
+// call it fall back to the interpreter, and only the functions and stages
+// with a plan count in plans_compiled.
+TEST(NoPlanFallbackTest, KeyOrReduceWithoutPlanMatchesBaseline) {
+  const std::vector<int> plain = ExpectBaselineBytesOnEveryRunner(
+      [](SparkJob& job, const Klass*, const DatasetPtr& in) {
+        return job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false},
+                                      job.sum_values);
+      });
+  const std::vector<int> helper_key = ExpectBaselineBytesOnEveryRunner(
+      [](SparkJob& job, const Klass* helper, const DatasetPtr& in) {
+        return job.engine.ReduceByKey(in, job.udfs, {},
+                                      KeySpec{AddHelperKey(&job, helper), false},
+                                      job.sum_values);
+      });
+  const std::vector<int> helper_reduce = ExpectBaselineBytesOnEveryRunner(
+      [](SparkJob& job, const Klass* helper, const DatasetPtr& in) {
+        return job.engine.ReduceByKey(in, job.udfs, {}, KeySpec{job.get_key, false},
+                                      AddHelperPair(&job, helper, "helper_sum", true));
+      });
+  EXPECT_EQ(plain[0], 0);
+  EXPECT_GT(plain[1], 0);
+  for (size_t r = 1; r < plain.size(); ++r) {
+    EXPECT_LT(helper_key[r], plain[r]) << RunnerName(kRunners[r]);
+    EXPECT_LT(helper_reduce[r], plain[r]) << RunnerName(kRunners[r]);
+  }
+}
+
 }  // namespace
 }  // namespace gerenuk

@@ -458,27 +458,6 @@ TEST(MapSideCombineTest, EachMapTaskShipsOneRecordPerKey) {
   EXPECT_EQ(job.engine.stats().combine_calls, 1000 - 4 * 5);
 }
 
-// sum_values, except that folding key 3 first stores the sum into its left
-// input — the in-place mutation SO-App's acct_merge makes on overflow, which
-// the transformer fences with an abort. The slow path computes the same sum.
-const Function* AddPoisonedSum(PairUdfs* job) {
-  const Klass* pair = job->pair;
-  Function* f = job->udfs.AddFunction("poisoned_sum");
-  FunctionBuilder b(f);
-  int a = b.Param("a", IrType::Ref(pair));
-  int c = b.Param("b", IrType::Ref(pair));
-  f->return_type = IrType::Ref(pair);
-  int key = b.FieldLoad(a, pair, "key");
-  int sum = b.BinOp(BinOpKind::kAdd, b.FieldLoad(a, pair, "value"), b.FieldLoad(c, pair, "value"));
-  b.If(b.BinOp(BinOpKind::kEq, key, b.ConstI(3)), [&] { b.FieldStore(a, pair, "value", sum); });
-  int out = b.NewObject(pair);
-  b.FieldStore(out, pair, "key", key);
-  b.FieldStore(out, pair, "value", sum);
-  b.Return(out);
-  b.Done();
-  return f;
-}
-
 TEST(MapSideCombineTest, CombinerAbortFallsBackWithoutFeedingTheGovernor) {
   struct Run {
     std::vector<uint8_t> bytes;
@@ -492,7 +471,7 @@ TEST(MapSideCombineTest, CombinerAbortFallsBackWithoutFeedingTheGovernor) {
     config.fault.governor_min_tasks = 4;
     config.observability.trace = !config.execution.process_executors;
     SparkJob job(config);
-    const Function* poisoned = AddPoisonedSum(&job);
+    const Function* poisoned = BuildPoisonedSum(&job);
     DatasetPtr in = job.MakeInput(1000);
     job.engine.ResetMetrics();
     DatasetPtr out =
@@ -526,6 +505,49 @@ TEST(MapSideCombineTest, CombinerAbortFallsBackWithoutFeedingTheGovernor) {
     Run r = run(config);
     EXPECT_EQ(r.bytes, reference) << "executors=" << workers;
     EXPECT_EQ(r.stats.governor_flips, 0) << "executors=" << workers;
+  }
+}
+
+// A join whose combine aborts on key 3 (the poisoned sum stores into its
+// left input there): the task holding key 3 releases its fast-path output and
+// re-runs its bucket on the slow path, which mutates the left record exactly
+// as baseline mode does. Sibling tasks commit on the fast path.
+TEST(JoinSlowPathTest, PoisonedCombineReturnsBaselineBytes) {
+  struct Run {
+    std::vector<uint8_t> bytes;
+    EngineStats stats;
+  };
+  auto run = [](const EngineConfig& config) {
+    SparkJob job(config);
+    const Function* poisoned = BuildPoisonedSum(&job);
+    // Left: one record per key 0..9; right: 300 records keyed i % 10.
+    DatasetPtr left = job.engine.Source(job.pair, 10, [](int64_t i, RecordWriter& w) {
+      w.I64(i);
+      w.F64(i * 10.0);
+    });
+    DatasetPtr right = job.MakeInput(300);
+    job.engine.ResetMetrics();
+    DatasetPtr out = job.engine.JoinByKey(left, KeySpec{job.get_key, false}, right,
+                                          KeySpec{job.get_key, false}, job.udfs, poisoned,
+                                          job.pair);
+    return Run{OutputBytes(job.engine, out), job.engine.stats()};
+  };
+  EngineConfig baseline = SparkWith(1);
+  baseline.execution.mode = EngineMode::kBaseline;
+  const std::vector<uint8_t> reference = run(baseline).bytes;
+  ASSERT_EQ(reference.size(), 300u * 16u);
+  for (int workers : kWorkerCounts) {
+    Run r = run(SparkWith(workers));
+    EXPECT_EQ(r.bytes, reference) << "workers=" << workers;
+    EXPECT_EQ(r.stats.aborts, 1) << "workers=" << workers;
+  }
+  // In-process engines are gone before the first fork.
+  for (int workers : kWorkerCounts) {
+    EngineConfig config = SparkWith(workers);
+    config.execution.process_executors = true;
+    Run r = run(config);
+    EXPECT_EQ(r.bytes, reference) << "executors=" << workers;
+    EXPECT_EQ(r.stats.aborts, 1) << "executors=" << workers;
   }
 }
 

@@ -213,32 +213,35 @@ TEST(VecKernelTest, BailKnobHandsOffMidLoopToScalar) {
   }
 }
 
-// A pointer-chasing body (heap FieldLoad per iteration) must stay in the
-// layout cost model's row bucket: the loop is rejected with a named reason,
-// no vec ops are emitted, and results still match the interpreter.
+// A body with a row op (a kCall per iteration) must stay in the layout cost
+// model's row bucket: the loop is rejected with a named reason, no vec ops
+// are emitted, and results still match the interpreter.
 TEST(VecKernelTest, RowOpLoopIsRejectedAndStaysScalar) {
   VecHarness h;
-  const Klass* pair = h.heap.klasses().DefineClass(
-      "Pair", {
-                  {"key", FieldKind::kI64, nullptr, 0},
-                  {"value", FieldKind::kF64, nullptr, 0},
-              });
+  Function* scale = h.prog.AddFunction("scale");
+  {
+    FunctionBuilder b(scale);
+    int x = b.Param("x", IrType::I64());
+    scale->return_type = IrType::I64();
+    b.Return(b.BinOp(BinOpKind::kMul, x, b.ConstI(5)));
+    b.Done();
+  }
   Function* f = h.prog.AddFunction("row_loop");
   {
     FunctionBuilder b(f);
-    int rec = b.Param("rec", IrType::Ref(pair));
     int n = b.Param("n", IrType::I64());
     f->return_type = IrType::I64();
     int acc = b.Local("acc", IrType::I64());
     b.AssignTo(acc, b.ConstI(0));
     b.For(n, [&](int i) {
-      int k = b.FieldLoad(rec, pair, "key");
+      int k = b.Call(scale, {i});
       b.AssignTo(acc, b.BinOp(BinOpKind::kAdd, acc, b.BinOp(BinOpKind::kMul, i, k)));
     });
     b.Return(acc);
     b.Done();
   }
   std::shared_ptr<const SerPlan> vec = h.Compile(true);
+  ASSERT_NE(vec, nullptr);
   EXPECT_EQ(vec->vec_loops(), 0);
   EXPECT_EQ(vec->vec_loops_rejected(), 1);
   EXPECT_STREQ(vec->layout(), "row");
@@ -247,11 +250,7 @@ TEST(VecKernelTest, RowOpLoopIsRejectedAndStaysScalar) {
 
   Interpreter interp(h.prog, h.heap, h.wk, &h.layouts, nullptr);
   PlanExecutor vec_exec(*vec, h.heap, h.wk, &h.layouts, nullptr);
-  RootScope scope(h.heap);
-  size_t rec = scope.Push(h.heap.AllocObject(pair));
-  h.heap.SetPrim<int64_t>(scope.Get(rec), pair->FindField("key")->offset, 5);
-  std::vector<Value> args = {Value::Ref(static_cast<int64_t>(scope.Get(rec))),
-                             Value::I64(37)};
+  std::vector<Value> args = {Value::I64(37)};
   EXPECT_EQ(vec_exec.CallFunction(f, args).i, interp.CallFunction(f, args).i);
 }
 
